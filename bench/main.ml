@@ -13,7 +13,9 @@
      casestudy  sec. 5.4 — invariant-based failure localization (od, pr)
      micro      Bechamel micro-benchmarks
      smoke      one-bug pipeline + overhead run, for CI
-     vm         pre-lowered engine vs reference interpreter, instr/sec
+     vm         pre-lowered engine vs reference interpreter, instr/sec,
+                untraced (gated) and traced under each bug's recording
+                plan (packet bytes must match the reference)
      fleet      Table 1 corpus on a domain pool, -j 1 vs -j 4
      longtrace  long-trace family: checkpoint/resume vs from-scratch
      serve      in-process er-serve daemon under a 4-client loadgen;
@@ -130,16 +132,6 @@ let measure_best f ~runs =
   done;
   !best
 
-let er_hooks enc =
-  {
-    Er_vm.Interp.no_hooks with
-    Er_vm.Interp.on_branch = Some (fun b -> Er_trace.Encoder.branch enc b);
-    on_switch =
-      Some (fun ~tid ~clock -> Er_trace.Encoder.thread_switch enc ~tid ~clock);
-    on_ptwrite = Some (fun v -> Er_trace.Encoder.ptwrite enc v);
-    on_alloc = Some (fun v -> Er_trace.Encoder.ptwrite enc v);
-  }
-
 let overhead_of (s : Bug.spec) ~runs =
   let prog = Er_ir.Prog.of_program s.Bug.program in
   (* input construction is workload preparation, not program execution:
@@ -147,7 +139,10 @@ let overhead_of (s : Bug.spec) ~runs =
   let inputs = s.Bug.perf_inputs () in
   let base () = ignore (Er_vm.Interp.run prog inputs) in
   let enc = Er_trace.Encoder.create () in
-  let er_config = { Er_vm.Interp.default_config with hooks = er_hooks enc } in
+  let er_config =
+    { Er_vm.Interp.default_config with
+      hooks = Er_vm.Vm_state.tracer_hooks enc }
+  in
   let er () =
     Er_trace.Encoder.start enc;
     ignore (Er_vm.Interp.run ~config:er_config prog inputs)
@@ -271,7 +266,84 @@ let run_vm_timed () =
     (if tl > 0. then float_of_int ti /. tl else 0.)
     (if tl > 0. then tr /. tl else 1.)
 
-let run_vm () = if !opcode_mix then run_opcode_mix () else run_vm_timed ()
+(* The traced leg: each perf workload under the tracer's hooks and the
+   bug's recording plan (the points its reconstruction selects) — the
+   always-on production path — against the reference engine on the
+   instrumented program under the same hooks.  Packet bytes and
+   instruction counts must match exactly, else the job exits non-zero;
+   the traced speedup is reported, not gated. *)
+let run_vm_traced () =
+  section
+    "bench vm (traced): tracer hooks + recording plan vs reference on the \
+     instrumented program";
+  Printf.printf "%-22s %10s %8s %10s %11s %8s %6s\n" "Application" "#Instr"
+    "#points" "ref (s)" "traced (s)" "speedup" "bytes";
+  let runs = 5 in
+  let mismatched = ref [] in
+  let tr = ref 0. and tl = ref 0. in
+  List.iter
+    (fun (s : Bug.spec) ->
+       let points =
+         (Er_smt.Solver.in_fresh_space (fun () -> reconstruct_spec s))
+           .Er_core.Pipeline.recording_points
+       in
+       let prog = Er_ir.Prog.of_program s.Bug.program in
+       let inst =
+         Er_ir.Prog.of_program
+           (fst (Er_select.Instrument.apply s.Bug.program points))
+       in
+       (* both programs lower outside the timed region *)
+       let plan =
+         Er_vm.Vm_state.plan_of_points (Er_ir.Prog.lowered prog) points
+       in
+       ignore (Er_ir.Prog.lowered inst);
+       let inputs = s.Bug.perf_inputs () in
+       let vm_config = s.Bug.config.Er_core.Pipeline.vm_config in
+       let ring_bytes = s.Bug.config.Er_core.Pipeline.ring_bytes in
+       let enc = Er_trace.Encoder.create ~ring_bytes () in
+       let config =
+         { vm_config with hooks = Er_vm.Vm_state.tracer_hooks enc }
+       in
+       let traced run =
+         Er_trace.Encoder.reset enc;
+         Er_trace.Encoder.start enc;
+         let r : Er_vm.Interp.run_result = run () in
+         (r.Er_vm.Interp.instr_count, Er_trace.Encoder.finish enc)
+       in
+       let lowered () =
+         Er_vm.Vm_state.run_to_end
+           (Er_vm.Vm_state.create ~config ~plan prog inputs)
+       in
+       let reference () = Er_vm.Interp.run_reference ~config inst inputs in
+       let li, lb = traced lowered and ri, rb = traced reference in
+       let same = li = ri && Bytes.equal lb rb in
+       if not same then mismatched := s.Bug.name :: !mismatched;
+       let lm = measure_best (fun () -> ignore (traced lowered)) ~runs in
+       let rm = measure_best (fun () -> ignore (traced reference)) ~runs in
+       tr := !tr +. rm;
+       tl := !tl +. lm;
+       Printf.printf "%-22s %10d %8d %10.4f %11.4f %7.2fx %6s\n%!" s.Bug.name
+         li (List.length points) rm lm
+         (if lm > 0. then rm /. lm else 1.)
+         (if same then "same" else "DIFFER"))
+    Registry.table1;
+  Printf.printf "%-22s %10s %8s %10.4f %11.4f %7.2fx\n" "total" "" "" !tr !tl
+    (if !tl > 0. then !tr /. !tl else 1.);
+  match !mismatched with
+  | [] -> ()
+  | names ->
+      Printf.eprintf
+        "bench vm: traced run differs from the reference on the \
+         instrumented program: %s\n"
+        (String.concat ", " (List.rev names));
+      exit 1
+
+let run_vm () =
+  if !opcode_mix then run_opcode_mix ()
+  else begin
+    run_vm_timed ();
+    run_vm_traced ()
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Fig 5: benefits of data value recording on symex progress           *)
@@ -310,7 +382,8 @@ let run_fig5 () =
         let enc = Er_trace.Encoder.create () in
         Er_trace.Encoder.start enc;
         let vm_config =
-          { Er_vm.Interp.default_config with sched_seed; hooks = er_hooks enc }
+          { Er_vm.Interp.default_config with
+            sched_seed; hooks = Er_vm.Vm_state.tracer_hooks enc }
         in
         let vm = Er_vm.Interp.run ~config:vm_config inst_indexed inputs in
         match vm.Er_vm.Interp.outcome with

@@ -13,7 +13,7 @@
    iteration counts, solver costs and recorded-value sets as
    [run ~jobs:1].  Three mechanisms carry it:
 
-     - every job body runs inside {!Er_smt.Expr.in_fresh_space} (see
+     - every job body runs inside {!Er_smt.Solver.in_fresh_space} (see
        {!Job.execute}), so the interning order each bug observes — and
        the id-order-dependent solver trajectory downstream — is
        independent of what other domains intern concurrently;

@@ -17,10 +17,11 @@
        domain, with the usual typed {!Events} stream riding along.
 
    Determinism contract: {!execute} runs the pipeline inside
-   {!Er_smt.Expr.in_fresh_space}, so a job's solver trajectory — and
+   {!Er_smt.Solver.in_fresh_space}, so a job's solver trajectory — and
    hence its normalized result JSON — depends only on its own request,
    never on which other jobs ran before or concurrently (the same
-   mechanism fleet mode has always used). *)
+   mechanism fleet mode has always used).  The space's solver-cache
+   shard is released when the job ends. *)
 
 (* ---------------------------------------------------------------- *)
 (* Unified configuration                                             *)
@@ -407,7 +408,7 @@ let execute ?(worker = 0) (t : t) : unit =
     in
     let run () =
       Er_metrics.with_span ("bug:" ^ name t) (fun () ->
-          Er_smt.Expr.in_fresh_space body_with_store)
+          Er_smt.Solver.in_fresh_space body_with_store)
     in
     let outcome =
       match run () with

@@ -215,18 +215,9 @@ module Default_tracer : TRACER = struct
 
   let start ~config ~base_prog =
     let enc = Enc.create ~ring_bytes:config.ring_bytes () in
-    let hooks =
-      {
-        Interp.no_hooks with
-        Interp.on_branch = Some (fun b -> Enc.branch enc b);
-        on_switch = Some (fun ~tid ~clock -> Enc.thread_switch enc ~tid ~clock);
-        on_ptwrite = Some (fun v -> Enc.ptwrite enc v);
-        on_alloc = Some (fun v -> Enc.ptwrite enc v);
-      }
-    in
-    { s_prog = base_prog; s_enc = enc; s_hooks = hooks; s_vm = None;
-      s_seed = 0; s_points = []; s_cks = []; s_taken = 0; s_resumes = 0;
-      s_saved = 0; s_executed = 0 }
+    { s_prog = base_prog; s_enc = enc; s_hooks = Vs.tracer_hooks enc;
+      s_vm = None; s_seed = 0; s_points = []; s_cks = []; s_taken = 0;
+      s_resumes = 0; s_saved = 0; s_executed = 0 }
 
   (* Deepest checkpoint of the previous run still valid for a run with
      [points]/[inputs]/[sched_seed], per the conditions above. *)
@@ -561,6 +552,11 @@ type state = {
   st_final : status option;
 }
 
+(* Stage clock: monotonic wall seconds (CLOCK_MONOTONIC).  [Sys.time]
+   would sum CPU over every domain of the process, so under a parallel
+   fleet a stage's seconds would include its neighbours' work. *)
+let now () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
+
 module Make (T : TRACER) (Sh : SHEPHERD) (Sel : SELECTOR) (V : VERIFIER) =
 struct
   let run ?(config = default_config) ?(events = Events.null)
@@ -576,7 +572,7 @@ struct
       emit (Events.Occurrence_started { occurrence = occ });
       let inputs, sched_seed = workload ~occurrence:occ in
       (* --- stage 1: production run under tracing --- *)
-      let t0 = Sys.time () in
+      let t0 = now () in
       let outcome, resumed =
         M.with_span "trace" (fun () ->
             T.capture ~session ~config ~points:st.st_points
@@ -619,7 +615,7 @@ struct
                  packets = cap.cap_packets; ptwrites = cap.cap_ptwrites;
                  switches = cap.cap_switches; vm_instrs = cap.cap_vm_instrs;
                  overwritten = cap.cap_overwritten;
-                 elapsed = Sys.time () -. t0 });
+                 elapsed = now () -. t0 });
           if cap.cap_vm_instrs > 0 then
             M.set m_bandwidth
               (float_of_int (cap.cap_ptwrites * 9)
@@ -631,13 +627,13 @@ struct
             | None -> Some cap.cap_base_failure
           in
           (* --- stage 2: shepherded symbolic execution --- *)
-          let t1 = Sys.time () in
+          let t1 = now () in
           let sx =
             M.with_span "symex" (fun () ->
                 Sh.analyze ~config:st.st_exec_config ~prog:inst_indexed
                   ~capture:cap)
           in
-          let symex_time = Sys.time () -. t1 in
+          let symex_time = now () -. t1 in
           let finished outcome ~graph_nodes =
             emit
               (Events.Symex_finished
@@ -662,7 +658,7 @@ struct
               (* --- stage 4: verification by concrete re-execution --- *)
               let verified =
                 if config.verify then begin
-                  let t2 = Sys.time () in
+                  let t2 = now () in
                   let v =
                     M.with_span "verify" (fun () ->
                         V.verify ~solution:(Some solution)
@@ -677,7 +673,7 @@ struct
                        { occurrence = occ; ok = v.Verify.ok;
                          same_failure = v.Verify.same_failure;
                          same_control_flow = v.Verify.same_control_flow;
-                         elapsed = Sys.time () -. t2 });
+                         elapsed = now () -. t2 });
                   Some v
                 end
                 else None
@@ -692,12 +688,12 @@ struct
               finished `Stalled
                 ~graph_nodes:(Er_symex.Cgraph.node_count stall.Exec.graph);
               (* --- stage 3: key data value selection --- *)
-              let t2 = Sys.time () in
+              let t2 = now () in
               let sel =
                 M.with_span "select" (fun () ->
                     Sel.select ~stall ~mapper ~existing:st.st_points)
               in
-              let selection_time = Sys.time () -. t2 in
+              let selection_time = now () -. t2 in
               emit
                 (Events.Stall
                    { occurrence = occ; reason = stall.Exec.stall_reason;

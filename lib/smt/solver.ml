@@ -200,6 +200,20 @@ module Cache = struct
     Hashtbl.reset shards;
     Mutex.unlock shards_mutex
 
+  (* Forget the current space's shard.  Live sessions keep their own
+     reference to it; only lookups by stamp — new sessions — lose it. *)
+  let release_current () =
+    let stamp = Expr.space_stamp () in
+    Mutex.lock shards_mutex;
+    Hashtbl.remove shards stamp;
+    Mutex.unlock shards_mutex
+
+  let count () =
+    Mutex.lock shards_mutex;
+    let n = Hashtbl.length shards in
+    Mutex.unlock shards_mutex;
+    n
+
   let locked sh f =
     Mutex.lock sh.sh_mutex;
     Fun.protect ~finally:(fun () -> Mutex.unlock sh.sh_mutex) f
@@ -234,6 +248,14 @@ module Cache = struct
 end
 
 let reset_cache = Cache.clear
+let cache_shards = Cache.count
+
+(* A fresh space's stamp is never current again once its scope ends, so
+   its shard can only be reached by the sessions already holding it:
+   dropping it from the table at scope end is what keeps a long-lived
+   process (fleet, daemon) from keeping one shard per job forever. *)
+let in_fresh_space f =
+  Expr.in_fresh_space (fun () -> Fun.protect f ~finally:Cache.release_current)
 
 (* --- incremental sessions --------------------------------------------- *)
 

@@ -141,4 +141,13 @@ val must_be_true :
 (** Drop every shard of the result cache (test isolation). *)
 val reset_cache : unit -> unit
 
+(** Number of result-cache shards currently held. *)
+val cache_shards : unit -> int
+
+(** [in_fresh_space f] runs [f] in a fresh interning space
+    ({!Expr.in_fresh_space}) and releases that space's result-cache shard
+    when [f] returns or raises: nothing can create a session in the space
+    afterwards, so the shard would otherwise stay unreachable but live. *)
+val in_fresh_space : (unit -> 'a) -> 'a
+
 val pp_outcome : Format.formatter -> outcome -> unit

@@ -20,32 +20,16 @@
    what [run] delegates to.  This module keeps the tree-walking
    *reference* engine ([run_reference]) — string-keyed register tables,
    name-resolved jumps — whose bit-for-bit agreement with the lowered
-   engine the differential suite in test/test_lower.ml enforces.  The
-   shared pieces (hooks, config, metrics, evaluation helpers) are
-   defined once in {!Vm_state} and re-exported here under their
-   historical names. *)
+   engine the differential suites in test/test_lower.ml enforce.  The
+   hook, config and result types are defined once in {!Vm_state} and
+   re-exported here under their historical names; the metrics and
+   evaluation helpers the reference shares are called there directly. *)
 
 open Er_ir.Types
 module Sem = Er_smt.Expr     (* shared concrete semantics *)
 module M = Er_metrics
 
 (* --- re-exports from the production engine ------------------------------- *)
-
-let m_i_alu = Vm_state.m_i_alu
-let m_i_load = Vm_state.m_i_load
-let m_i_store = Vm_state.m_i_store
-let m_i_mem = Vm_state.m_i_mem
-let m_i_call = Vm_state.m_i_call
-let m_i_io = Vm_state.m_i_io
-let m_i_sync = Vm_state.m_i_sync
-let m_i_branch = Vm_state.m_i_branch
-let m_i_other = Vm_state.m_i_other
-let m_loads = Vm_state.m_loads
-let m_stores = Vm_state.m_stores
-let m_branches = Vm_state.m_branches
-let m_switches = Vm_state.m_switches
-let count_instr = Vm_state.count_instr
-let count_term = Vm_state.count_term
 
 type hooks = Vm_state.hooks = {
   on_branch : (bool -> unit) option;
@@ -105,18 +89,29 @@ type step = Vm_state.step =
 
 exception Crash = Vm_state.Crash
 
-let norm = Vm_state.norm
-let smt_binop = Vm_state.smt_binop
-let eval_cmp = Vm_state.eval_cmp
-let chunk_quantum = Vm_state.chunk_quantum
-let alloc_global_mem = Vm_state.alloc_global_mem
-
 (* The production entry point: lowered dispatch, resumable state. *)
 let run ?config prog inputs = Vm_state.run_program ?config prog inputs
 
 (* ======================================================================== *)
 (* Reference engine                                                         *)
 (* ======================================================================== *)
+
+(* Value normalisation, shared with the production engine. *)
+let norm = Vm_state.norm
+
+let eval_cmp op w a b =
+  let base o = Sem.eval_cmp o w a b in
+  match op with
+  | Eq -> base Sem.Eq
+  | Ne -> not (base Sem.Eq)
+  | Ult -> base Sem.Ult
+  | Ule -> base Sem.Ule
+  | Ugt -> not (base Sem.Ule)
+  | Uge -> not (base Sem.Ult)
+  | Slt -> base Sem.Slt
+  | Sle -> base Sem.Sle
+  | Sgt -> not (base Sem.Sle)
+  | Sge -> not (base Sem.Slt)
 
 (* --- execution state ---------------------------------------------------- *)
 
@@ -182,7 +177,7 @@ let set_reg (fr : frame) r v = Hashtbl.replace fr.fr_regs r v
 (* --- setup ---------------------------------------------------------------- *)
 
 let alloc_global st (g : global) =
-  Hashtbl.replace st.globals g.gname (alloc_global_mem st.mem g)
+  Hashtbl.replace st.globals g.gname (Vm_state.alloc_global_mem st.mem g)
 
 let make_frame (f : func) (args : int64 list) ~dst =
   let regs = Hashtbl.create 16 in
@@ -243,7 +238,8 @@ let step_instr st (th : thread) (fr : frame) (i : instr) : step =
            raise (Crash Failure.Div_by_zero)
        | _ -> ());
       set_reg fr dst
-        (Sem.eval_binop (smt_binop op) (width_of_ty ty) (norm ty va) (norm ty vb));
+        (Sem.eval_binop (Vm_state.smt_binop op) (width_of_ty ty) (norm ty va)
+           (norm ty vb));
       fr.fr_ip <- fr.fr_ip + 1;
       Stepped
   | Cmp { dst; op; ty; a; b } ->
@@ -425,11 +421,11 @@ let step_thread st (th : thread) : step =
   | fr :: _ ->
       if fr.fr_ip < Array.length fr.fr_block.instrs then begin
         let i = fr.fr_block.instrs.(fr.fr_ip) in
-        if M.enabled M.default then count_instr i;
+        if M.enabled M.default then Vm_state.count_instr i;
         step_instr st th fr i
       end
       else begin
-        if M.enabled M.default then count_term fr.fr_block.term;
+        if M.enabled M.default then Vm_state.count_term fr.fr_block.term;
         step_term st th fr fr.fr_block.term
       end
 
@@ -474,7 +470,7 @@ let run_reference ?(config = default_config) (prog : Er_ir.Prog.t)
   let turn = ref 0 in
   let cur = ref main_thread in
   let emit_switch th =
-    M.inc m_switches;
+    M.inc Vm_state.m_switches;
     match config.hooks.on_switch with
     | Some f -> f ~tid:th.tid ~clock:st.clock
     | None -> ()
@@ -500,7 +496,7 @@ let run_reference ?(config = default_config) (prog : Er_ir.Prog.t)
   in
   while !result = None do
     let th = !cur in
-    let quantum = chunk_quantum config !turn in
+    let quantum = Vm_state.chunk_quantum config !turn in
     incr turn;
     let steps = ref 0 in
     let stop = ref false in

@@ -2,38 +2,21 @@
     thread scheduler, and tracing hooks.
 
     Two engines implement one semantics.  {!run} is the production path:
-    it delegates to {!Vm_state}, which dispatches over the pre-lowered
-    code cache and keeps all run state behind a resumable value.
-    {!run_reference} is the tree-walking reference engine kept in this
-    module; the differential suite in test/test_lower.ml enforces their
-    bit-for-bit agreement on every observable (hook order, failure
-    reports, outputs, metric totals).
+    it delegates to {!Vm_state}, whose block-fused threaded code executes
+    every production run — untraced runs through its fast variant, hooked
+    ones through its observed variant, which fires each hook where the
+    reference does.  {!run_reference} is the tree-walking reference
+    engine, kept in this module as the oracle; the differential suites in
+    test/test_lower.ml enforce bit-for-bit agreement on every observable
+    (the ordered calls of each hook, failure reports, outputs, metric
+    totals).
 
-    The shared types and helpers (hooks, config, results, metrics) are
-    defined in {!Vm_state} and re-exported here under their historical
-    names, so existing callers keep writing [Interp.run],
-    [Interp.default_config], [Interp.m_i_alu], ... *)
+    The hook, config and result types are defined in {!Vm_state} and
+    re-exported here, so callers keep writing [Interp.run],
+    [Interp.default_config], [Interp.no_hooks], ...  Retirement metrics
+    and the shared evaluation helpers live in {!Vm_state} alone. *)
 
 open Er_ir.Types
-
-(** {1 Retirement metrics} *)
-
-val m_i_alu : Er_metrics.counter
-val m_i_load : Er_metrics.counter
-val m_i_store : Er_metrics.counter
-val m_i_mem : Er_metrics.counter
-val m_i_call : Er_metrics.counter
-val m_i_io : Er_metrics.counter
-val m_i_sync : Er_metrics.counter
-val m_i_branch : Er_metrics.counter
-val m_i_other : Er_metrics.counter
-val m_loads : Er_metrics.counter
-val m_stores : Er_metrics.counter
-val m_branches : Er_metrics.counter
-val m_switches : Er_metrics.counter
-
-val count_instr : instr -> unit
-val count_term : terminator -> unit
 
 (** {1 Hooks and configuration} *)
 
@@ -95,19 +78,6 @@ type step = Vm_state.step =
   | Program_done of int64 option
 
 exception Crash of Failure.kind
-
-(** {1 Shared evaluation helpers} *)
-
-val norm : ty -> int64 -> int64
-val smt_binop : binop -> Er_smt.Expr.binop
-val eval_cmp : cmpop -> int -> int64 -> int64 -> bool
-
-(** Deterministic per-(seed, chunk#) quantum jitter. *)
-val chunk_quantum : config -> int -> int
-
-(** Shared by both engines so global allocation order — hence object ids
-    and packed pointers — is identical. *)
-val alloc_global_mem : Memory.t -> global -> int64
 
 (** {1 Execution} *)
 

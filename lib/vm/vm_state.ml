@@ -18,11 +18,19 @@
    constant across iterations, checkpoints never need frame remapping
    when the point set changes.
 
+   Every run executes one engine: block-fused threaded code, compiled
+   once per lowered program in two variants.  The fast variant fires no
+   observer; the observed variant shares its units wherever an opcode
+   has nothing to report and fires the configured hooks everywhere else.
+   [create] picks the variant from whether any hook is set, so the
+   dispatcher never tests for hooks, and plan-marked blocks run the
+   chosen variant's singleton units one instruction at a time.
+
    Hook invocations and their order, failure reports, outputs and metric
    totals match [Interp.run_reference] bit for bit on instrumented
-   programs (the differential suite in test/test_lower.ml pins this
-   down), and plan-driven runs match instrumented runs packet for packet
-   (test/test_vm_state.ml). *)
+   programs (the differential suites in test/test_lower.ml pin this
+   down, hook by hook), and plan-driven runs match instrumented runs
+   packet for packet (test/test_vm_state.ml). *)
 
 open Er_ir.Types
 module Sem = Er_smt.Expr     (* shared concrete semantics *)
@@ -169,6 +177,19 @@ let compose_hooks (a : hooks) (b : hooks) : hooks =
           g ~func ~value);
   }
 
+(* The always-on control-flow tracer's hook set: branch outcomes, chunk
+   switches and ptwrites into [enc], allocation sizes as ptwrites (the
+   analysis engine needs the concrete heap layout). *)
+let tracer_hooks (enc : Er_trace.Encoder.t) : hooks =
+  {
+    no_hooks with
+    on_branch = Some (fun b -> Er_trace.Encoder.branch enc b);
+    on_switch =
+      Some (fun ~tid ~clock -> Er_trace.Encoder.thread_switch enc ~tid ~clock);
+    on_ptwrite = Some (fun v -> Er_trace.Encoder.ptwrite enc v);
+    on_alloc = Some (fun v -> Er_trace.Encoder.ptwrite enc v);
+  }
+
 type config = {
   max_instrs : int;
   max_call_depth : int;
@@ -216,20 +237,6 @@ let smt_binop : binop -> Sem.binop = function
   | Add -> Sem.Add | Sub -> Sem.Sub | Mul -> Sem.Mul | Udiv -> Sem.Udiv
   | Urem -> Sem.Urem | And -> Sem.And | Or -> Sem.Or | Xor -> Sem.Xor
   | Shl -> Sem.Shl | Lshr -> Sem.Lshr | Ashr -> Sem.Ashr
-
-let eval_cmp op w a b =
-  let base o = Sem.eval_cmp o w a b in
-  match op with
-  | Eq -> base Sem.Eq
-  | Ne -> not (base Sem.Eq)
-  | Ult -> base Sem.Ult
-  | Ule -> base Sem.Ule
-  | Ugt -> not (base Sem.Ule)
-  | Uge -> not (base Sem.Ult)
-  | Slt -> base Sem.Slt
-  | Sle -> base Sem.Sle
-  | Sgt -> not (base Sem.Sle)
-  | Sge -> not (base Sem.Slt)
 
 (* Deterministic per-(seed, chunk#) quantum jitter. *)
 let chunk_quantum cfg turn =
@@ -360,36 +367,33 @@ and lthread = {
   mutable lstatus : tstatus;
 }
 
-(* The threaded code of one basic block: pre-compiled execution units
-   the dispatcher runs one closure call at a time, indexed by
-   instruction ip with index [n] (the instruction count) standing for
-   the terminator.  [xb_one] holds singleton units; [xb_big] the fused
-   unit starting at each ip where Fuse committed a pair, and the
-   singleton elsewhere (pair tails keep their singleton entry so a
-   resume can land on any instruction boundary).  The [_h] variants
-   consult the configured hooks; the plain variants assume [lno_hooks]
-   and pay zero hook branching.  Every unit updates [lfr_ip] and
-   [lclock] itself, per retired sub-instruction, so a crash mid-unit
-   reports the exact instruction and the exact clock. *)
+(* One variant (fast or observed) of the threaded code of one basic
+   block: pre-compiled execution units the dispatcher runs one closure
+   call at a time, indexed by instruction ip with index [n] (the
+   instruction count) standing for the terminator.  [xb_one] holds
+   singleton units; [xb_big] the fused unit starting at each ip where
+   Fuse committed a pair, and the singleton elsewhere (pair tails keep
+   their singleton entry so a resume can land on any instruction
+   boundary).  Every unit updates [lfr_ip] and [lclock] itself, per
+   retired sub-instruction, so a crash mid-unit reports the exact
+   instruction and the exact clock. *)
 and xunit = t -> lthread -> lframe -> step
 
 and xblock = {
   xb_cost : int array;        (* clock ticks of xb_big.(ip): 0..3 *)
   xb_one : xunit array;
   xb_big : xunit array;
-  xb_one_h : xunit array;
-  xb_big_h : xunit array;
   (* true where the unit may change the current frame or block
      (terminator, call, or a fused unit ending in the terminator):
      straight-line units skip the post-step transfer checks *)
   xb_ctl : bool array;
   (* whole-block chain: every fused/singleton unit of the block composed
-     into one closure, terminator included — the no-hooks dispatcher
-     runs it when the block starts at ip 0 and its full cost fits the
-     remaining quantum ([xb_wcost] <= budget left), so a hot self-loop
-     costs one indirect call per iteration.  [xb_wcost] is [max_int]
-     when the block is ineligible (any non-fusable instruction), which
-     makes eligibility and budget one integer compare. *)
+     into one closure, terminator included — the dispatcher runs it when
+     the block starts at ip 0 and its full cost fits the remaining
+     quantum ([xb_wcost] <= budget left), so a hot self-loop costs one
+     indirect call per iteration.  [xb_wcost] is [max_int] when the
+     block is ineligible (any non-fusable instruction), which makes
+     eligibility and budget one integer compare. *)
   xb_whole : xunit;
   xb_wcost : int;
   xb_pairs : string list;     (* adjacent pair keys, for the profiler *)
@@ -424,13 +428,11 @@ and t = {
   mutable lresult : run_result option;
   mutable lturn : int;
   mutable lcur : lthread;
-  (* pre-compiled threaded code, indexed [lf_idx].(lb_index); physically
-     shared between states of the same lowered program via a bounded
-     compile cache *)
+  (* pre-compiled threaded code, indexed [lf_idx].(lb_index): the fast
+     variant when no hook is configured, the observed one otherwise
+     (decided once at [create]); physically shared between states of
+     the same lowered program via a bounded compile cache *)
   lxcode : xblock array array;
-  (* no hook is configured: dispatch may use the hook-free closure
-     arrays, decided once at [create] instead of once per instruction *)
-  lno_hooks : bool;
 }
 
 (* Slot indices come from the lowering's own numbering, always in
@@ -450,19 +452,6 @@ let lpoint_of (fr : lframe) =
     p_index = fr.lfr_ip }
 
 let lstack_of (th : lthread) = List.map lpoint_of th.lstack
-
-let ev_operand st (fr : lframe) (o : L.operand) : int64 =
-  match o with
-  | L.Oslot s -> rget fr s
-  | L.Oimm { v; _ } -> v
-  | L.Onull -> Memory.null
-  | L.Oglobal i -> st.lglobal_ptrs.(i)
-  | L.Ocheck { slot; reg } ->
-      if Bytes.get fr.lfr_defined slot = '\001' then rget fr slot
-      else
-        invalid_arg
-          (Printf.sprintf "Interp: read of undefined register %s in %s" reg
-             fr.lfr_func.L.lf_name)
 
 (* Slot write without the on_def hook: return values and parameter
    binding, mirroring the plain [set_reg] of the reference engine. *)
@@ -552,282 +541,6 @@ let flush_partial st ~(crashed : lthread option) =
            th.lstack)
       st.lthreads
 
-let ldo_return st (th : lthread) v : step =
-  match th.lstack with
-  | [] -> assert false
-  | fr :: rest ->
-      (match st.lcfg.hooks.on_ret with
-       | Some h -> h ~func:fr.lfr_func.L.lf_name ~value:v
-       | None -> ());
-      List.iter (Memory.release_stack st.lmem) fr.lfr_stack_objs;
-      th.lstack <- rest;
-      th.ldepth <- th.ldepth - 1;
-      (match rest with
-       | [] ->
-           th.lstatus <- Done_t;
-           if th.ltid = 0 then Program_done v else Thread_done
-       | caller :: _ ->
-           (match fr.lfr_dst, v with
-            | Some dst, Some value ->
-                lset_slot caller dst
-                  (Er_smt.Ty.truncate fr.lfr_func.L.lf_ret_w value)
-            | Some dst, None -> lset_slot caller dst 0L
-            | None, _ -> ());
-           Stepped)
-
-(* Slot write with the on_def hook, the lowered [set_reg]; a top-level
-   function so the per-instruction step allocates no closures. *)
-let[@inline] lset_reg st (fr : lframe) slot v =
-  (match st.lcfg.hooks.on_def with
-   | Some h ->
-       h (lpoint_of fr) ~reg:fr.lfr_func.L.lf_reg_of_slot.(slot) ~value:v
-   | None -> ());
-  lset_slot fr slot v
-
-(* Evaluate a call/spawn argument array without the intermediate array
-   of [Array.map] — one list allocation, same element order. *)
-let ev_args st (fr : lframe) (args : L.operand array) =
-  Array.fold_right (fun o acc -> ev_operand st fr o :: acc) args []
-
-let lstep_instr st (th : lthread) (fr : lframe) (i : L.linstr) : step =
-  match i with
-  | L.LBin { dst; op; w; a; b; _ } ->
-      let va = ev_operand st fr a and vb = ev_operand st fr b in
-      (match op with
-       | Udiv | Urem when Int64.equal (Er_smt.Ty.truncate w vb) 0L ->
-           raise (Crash Failure.Div_by_zero)
-       | _ -> ());
-      lset_reg st fr dst
-        (Sem.eval_binop (smt_binop op) w (Er_smt.Ty.truncate w va)
-           (Er_smt.Ty.truncate w vb));
-      fr.lfr_ip <- fr.lfr_ip + 1;
-      Stepped
-  | L.LCmp { dst; op; w; a; b; _ } ->
-      let r =
-        eval_cmp op w (Er_smt.Ty.truncate w (ev_operand st fr a)) (Er_smt.Ty.truncate w (ev_operand st fr b))
-      in
-      lset_reg st fr dst (if r then 1L else 0L);
-      fr.lfr_ip <- fr.lfr_ip + 1;
-      Stepped
-  | L.LSelect { dst; w; cond; if_true; if_false; _ } ->
-      let c = ev_operand st fr cond in
-      lset_reg st fr dst
-        (Er_smt.Ty.truncate w
-           (if Int64.equal (Er_smt.Ty.truncate 1 c) 1L then ev_operand st fr if_true
-            else ev_operand st fr if_false));
-      fr.lfr_ip <- fr.lfr_ip + 1;
-      Stepped
-  | L.LCast { dst; kind; to_w; from_w; v; _ } ->
-      let value = Er_smt.Ty.truncate from_w (ev_operand st fr v) in
-      let out =
-        match kind with
-        | Zext | Ptrtoint | Inttoptr | Trunc -> Er_smt.Ty.truncate to_w value
-        | Sext ->
-            Er_smt.Ty.truncate to_w (Er_smt.Ty.sign_extend from_w value)
-      in
-      lset_reg st fr dst out;
-      fr.lfr_ip <- fr.lfr_ip + 1;
-      Stepped
-  | L.LLoad { dst; ty; addr } ->
-      (match Memory.load st.lmem (ev_operand st fr addr) ~ty with
-       | Error k -> raise (Crash k)
-       | Ok v ->
-           lset_reg st fr dst v;
-           fr.lfr_ip <- fr.lfr_ip + 1;
-           Stepped)
-  | L.LStore { ty; w; v; addr } ->
-      let value = Er_smt.Ty.truncate w (ev_operand st fr v) in
-      (match Memory.store st.lmem (ev_operand st fr addr) ~ty value with
-       | Error k -> raise (Crash k)
-       | Ok (obj, index, old_value) ->
-           (match st.lcfg.hooks.on_store with
-            | Some f -> f ~obj ~index ~old_value ~new_value:value
-            | None -> ());
-           fr.lfr_ip <- fr.lfr_ip + 1;
-           Stepped)
-  | L.LAlloc { dst; elt_ty; count; heap } ->
-      let n = Int64.to_int (ev_operand st fr count) in
-      (match st.lcfg.hooks.on_alloc with
-       | Some f -> f (Int64.of_int n)
-       | None -> ());
-      (match Memory.alloc st.lmem ~elt_ty ~size:n ~heap with
-       | None -> raise (Crash (Failure.Access_type_error "allocation too large"))
-       | Some p ->
-           if not heap then
-             fr.lfr_stack_objs <- Memory.ptr_obj p :: fr.lfr_stack_objs;
-           lset_reg st fr dst p;
-           fr.lfr_ip <- fr.lfr_ip + 1;
-           Stepped)
-  | L.LFree { addr } ->
-      (match Memory.free st.lmem (ev_operand st fr addr) with
-       | Error k -> raise (Crash k)
-       | Ok () ->
-           fr.lfr_ip <- fr.lfr_ip + 1;
-           Stepped)
-  | L.LGep { dst; base; idx } ->
-      let p = ev_operand st fr base in
-      let i = Int64.to_int (Er_smt.Ty.sign_extend 64 (ev_operand st fr idx)) in
-      lset_reg st fr dst
-        (Memory.ptr ~obj:(Memory.ptr_obj p) ~index:(Memory.ptr_index p + i));
-      fr.lfr_ip <- fr.lfr_ip + 1;
-      Stepped
-  | L.LCall { dst; fidx; args } ->
-      if th.ldepth >= st.lcfg.max_call_depth then
-        raise (Crash Failure.Stack_overflow);
-      let lf = st.llow.L.l_funcs.(fidx) in
-      let vargs = ev_args st fr args in
-      (match st.lcfg.hooks.on_enter with
-       | Some h -> h ~func:lf.L.lf_name ~args:vargs
-       | None -> ());
-      fr.lfr_ip <- fr.lfr_ip + 1;    (* return to the next instruction *)
-      record_entry st lf 0;
-      th.lstack <- make_lframe lf vargs ~dst :: th.lstack;
-      th.ldepth <- th.ldepth + 1;
-      Stepped
-  | L.LInput { dst; ty; stream } ->
-      (match Inputs.read st.linputs stream with
-       | None -> raise (Crash (Failure.Input_exhausted stream))
-       | Some v ->
-           let v = norm ty v in
-           (match st.lcfg.hooks.on_input with
-            | Some f -> f ~stream ~value:v
-            | None -> ());
-           lset_reg st fr dst v;
-           fr.lfr_ip <- fr.lfr_ip + 1;
-           Stepped)
-  | L.LOutput { v } ->
-      st.loutputs <- ev_operand st fr v :: st.loutputs;
-      fr.lfr_ip <- fr.lfr_ip + 1;
-      Stepped
-  | L.LPtwrite { v } ->
-      (match st.lcfg.hooks.on_ptwrite with
-       | Some f -> f (ev_operand st fr v)
-       | None -> ());
-      fr.lfr_ip <- fr.lfr_ip + 1;
-      Stepped_free
-  | L.LAssert { cond; msg } ->
-      if Int64.equal (Er_smt.Ty.truncate 1 (ev_operand st fr cond)) 0L then
-        raise (Crash (Failure.Assert_failed msg));
-      fr.lfr_ip <- fr.lfr_ip + 1;
-      Stepped
-  | L.LSpawn { fidx; args } ->
-      let lf = st.llow.L.l_funcs.(fidx) in
-      let vargs = ev_args st fr args in
-      record_entry st lf 0;
-      let t =
-        { ltid = st.lnext_tid; lstack = [ make_lframe lf vargs ~dst:None ];
-          ldepth = 1; lstatus = Runnable }
-      in
-      st.lnext_tid <- st.lnext_tid + 1;
-      st.lthreads <- st.lthreads @ [ t ];
-      fr.lfr_ip <- fr.lfr_ip + 1;
-      Stepped
-  | L.LJoin ->
-      let others_done =
-        List.for_all
-          (fun t -> t.ltid = th.ltid || t.lstatus = Done_t)
-          st.lthreads
-      in
-      if others_done then begin
-        fr.lfr_ip <- fr.lfr_ip + 1;
-        Stepped
-      end
-      else begin
-        th.lstatus <- Waiting_join;
-        Blocked
-      end
-  | L.LLock { addr } ->
-      let a = ev_operand st fr addr in
-      (match Hashtbl.find_opt st.lmutexes a with
-       | Some owner when owner = th.ltid ->
-           raise (Crash (Failure.Lock_error "recursive lock"))
-       | Some _ ->
-           th.lstatus <- Blocked_lock a;
-           Blocked
-       | None ->
-           Hashtbl.replace st.lmutexes a th.ltid;
-           fr.lfr_ip <- fr.lfr_ip + 1;
-           Stepped)
-  | L.LUnlock { addr } ->
-      let a = ev_operand st fr addr in
-      (match Hashtbl.find_opt st.lmutexes a with
-       | Some owner when owner = th.ltid ->
-           Hashtbl.remove st.lmutexes a;
-           List.iter
-             (fun t ->
-                match t.lstatus with
-                | Blocked_lock a' when Int64.equal a a' -> t.lstatus <- Runnable
-                | Blocked_lock _ | Runnable | Waiting_join | Done_t -> ())
-             st.lthreads;
-           fr.lfr_ip <- fr.lfr_ip + 1;
-           Stepped
-       | Some _ | None ->
-           raise (Crash (Failure.Lock_error "unlock of mutex not held")))
-
-let lstep_term st (th : lthread) (fr : lframe) (t : L.lterm) : step =
-  match t with
-  | L.LBr i ->
-      record_entry st fr.lfr_func i;
-      fr.lfr_block <- fr.lfr_func.L.lf_blocks.(i);
-      fr.lfr_ip <- 0;
-      Stepped
-  | L.LCond_br { cond; if_true; if_false } ->
-      let c = Int64.equal (Er_smt.Ty.truncate 1 (ev_operand st fr cond)) 1L in
-      st.lbranches <- st.lbranches + 1;
-      (match st.lcfg.hooks.on_branch with Some f -> f c | None -> ());
-      let i = if c then if_true else if_false in
-      record_entry st fr.lfr_func i;
-      fr.lfr_block <- fr.lfr_func.L.lf_blocks.(i);
-      fr.lfr_ip <- 0;
-      Stepped
-  | L.LRet v -> ldo_return st th (Option.map (ev_operand st fr) v)
-  | L.LAbort msg -> raise (Crash (Failure.Abort_called msg))
-  | L.LUnreachable -> raise (Crash Failure.Unreachable_reached)
-
-let lstep_thread st (th : lthread) : step =
-  match th.lstack with
-  | [] ->
-      th.lstatus <- Done_t;
-      Thread_done
-  | fr :: _ ->
-      let b = fr.lfr_block in
-      if fr.lfr_ip < Array.length b.L.lb_instrs then begin
-        let ip = fr.lfr_ip in
-        let i = Array.unsafe_get b.L.lb_instrs ip in
-        (* the plan mark of this instruction, if any: its defined slot
-           becomes a pending virtual ptwrite once the step retires *)
-        let mark =
-          if st.lplan_on then begin
-            let row = st.lmarks.(fr.lfr_func.L.lf_idx).(b.L.lb_index) in
-            if Array.length row = 0 then -1 else Array.unsafe_get row ip
-          end
-          else -1
-        in
-        match lstep_instr st th fr i with
-        | Blocked ->
-            (* the reference engine counts a blocked op once per attempt;
-               the block delta will cover only the successful retirement *)
-            if M.enabled M.default then
-              count_instr b.L.lb_src.instrs.(fr.lfr_ip);
-            Blocked
-        | Stepped as s ->
-            if mark >= 0 then fr.lfr_pending <- Some mark;
-            s
-        | s -> s
-      end
-      else begin
-        (* whole block retires with this terminator: one batched add per
-           class, before execution, like the reference's count-then-step *)
-        if M.enabled M.default then begin
-          flush_delta b.L.lb_delta;
-          let uid =
-            st.lblock_base.(fr.lfr_func.L.lf_idx) + b.L.lb_index
-          in
-          st.lblk_counts.(uid) <- st.lblk_counts.(uid) + 1
-        end;
-        lstep_term st th fr b.L.lb_term
-      end
-
 (* Fire the pending virtual ptwrite of [th]'s top frame, if any: exactly
    what an instrumented [Ptwrite (Reg dst)] placed after the marked
    instruction would do, as a clock-free step before the frame's next
@@ -850,16 +563,20 @@ let fire_pending st (th : lthread) : bool =
 (* Each basic block compiles once (per lowered program, not per state)
    into arrays of execution units — closures of type [xunit] — indexed
    by ip, with index [n] standing for the terminator.  A unit performs
-   exactly the state transition the [lstep_instr]/[lstep_term] +
-   run-loop combination would, *including* the ip and clock updates:
-   operand getters, width masks, immediate truncations, block targets
-   and error strings are all resolved at compile time, so the fast path
-   executes no per-step decode, no hook option checks and no width
-   branches.  Fused units (committed opcode pairs from [Fuse.analyze])
-   retire two sub-instructions per dispatch; every sub-instruction still
-   updates ip and the clock itself, so a crash, a blocked sync op or a
-   metric flush in the tail observes exactly the state a singleton
-   schedule would have produced.
+   exactly the state transition of one step of the reference engine
+   plus its scheduler's bookkeeping, *including* the ip and clock
+   updates: operand getters, width masks, immediate truncations, block
+   targets and error strings are all resolved at compile time, so the
+   fast variant executes no per-step decode, no hook option checks and
+   no width branches.  Fused units (committed opcode pairs from
+   [Fuse.analyze]) retire two sub-instructions per dispatch; every
+   sub-instruction still updates ip and the clock itself, so a crash, a
+   blocked sync op or a metric flush in the tail observes exactly the
+   state a singleton schedule would have produced.
+
+   The observed variant (see [xinstr_obs]) wraps or replaces only the
+   units whose opcode fires an observer; everything else is the fast
+   unit itself, physically shared.
 
    The symex engine deliberately keeps dispatching the unfused lowered
    form: its per-instruction cost is dominated by term construction and
@@ -976,8 +693,8 @@ let xbinop (op : binop) w : int64 -> int64 -> int64 =
 
 let xsext w = if w = 64 then fun v -> v else fun v -> Ty.sign_extend w v
 
-(* Comparison on pre-truncated inputs: [eval_cmp] with the negations
-   folded and the sign extension hoisted. *)
+(* Comparison on pre-truncated inputs: the reference's [eval_cmp] with
+   the negations folded and the sign extension hoisted. *)
 let xcmpop (op : cmpop) w : int64 -> int64 -> bool =
   let sx = xsext w in
   match op with
@@ -1427,8 +1144,9 @@ let xbin_unit (lf : L.lfunc) ~ip1 ~dst ~(op : binop) ~w (a : L.operand)
             Stepped)
   | _ -> generic ()
 
-(* [ldo_return] without the on_ret hook check, for the fast path. *)
-let ldo_return_fast st (th : lthread) v : step =
+(* Pop the returning frame and bind its value in the caller: the part
+   of the reference's [do_return] after the on_ret hook. *)
+let pop_frame st (th : lthread) v : step =
   match th.lstack with
   | [] -> assert false
   | fr :: rest ->
@@ -1448,10 +1166,10 @@ let ldo_return_fast st (th : lthread) v : step =
             | None, _ -> ());
            Stepped)
 
-(* Return with the value as a raw slot read: the option box moves to the
-   Program_done edge (once per run), so ordinary returns allocate
-   nothing beyond what the frame pop itself frees. *)
-let ldo_return_slot st (th : lthread) (value : int64) : step =
+(* [pop_frame] with the value as a raw slot read: the option box moves
+   to the Program_done edge (once per run), so ordinary returns
+   allocate nothing beyond what the frame pop itself frees. *)
+let pop_frame_slot st (th : lthread) (value : int64) : step =
   match th.lstack with
   | [] -> assert false
   | fr :: rest ->
@@ -1469,6 +1187,15 @@ let ldo_return_slot st (th : lthread) (value : int64) : step =
                   (Ty.truncate fr.lfr_func.L.lf_ret_w value)
             | None -> ());
            Stepped)
+
+(* The clock tick of a return: it retires, unless a spawned thread's
+   last frame pops ([Thread_done] ends the quantum untimed, like the
+   reference's scheduler). *)
+let[@inline] ticked st (s : step) : step =
+  (match s with
+   | Stepped | Program_done _ -> st.lclock <- st.lclock + 1
+   | Stepped_free | Blocked | Thread_done -> ());
+  s
 
 (* Hand-specialised call: one writer closure per argument copies
    caller-frame slots into the callee frame as raw 64-bit moves — no
@@ -1539,9 +1266,34 @@ let xcall_unit (low : L.t) (lf : L.lfunc) ~ip1 ~dst ~fidx
         Stepped)
   end
 
-(* The pre-terminator accounting of [lstep_thread]: one batched add per
-   counter class plus the per-block retirement count, before the
-   terminator executes (also before abort/unreachable raise). *)
+(* The general call, step for step the reference's: depth check,
+   arguments as a list (last first, like [xcall_unit]'s writers), the
+   on_enter hook, then [make_lframe] — whose arity check thus raises
+   after operand evaluation and the hook.  The fast variant takes it
+   only on an arity mismatch, where no hook is set; the observed one
+   whenever on_enter is. *)
+let xcall_generic (low : L.t) (lf : L.lfunc) ~ip1 ~dst ~fidx
+    (args : L.operand array) : xunit =
+  let callee = low.L.l_funcs.(fidx) in
+  let gargs = Array.map (xget lf) args in
+  fun st th fr ->
+    if th.ldepth >= st.lcfg.max_call_depth then
+      raise (Crash Failure.Stack_overflow);
+    let vargs = Array.fold_right (fun g acc -> g st fr :: acc) gargs [] in
+    (match st.lcfg.hooks.on_enter with
+     | Some h -> h ~func:callee.L.lf_name ~args:vargs
+     | None -> ());
+    fr.lfr_ip <- ip1;
+    record_entry st callee 0;
+    th.lstack <- make_lframe callee vargs ~dst :: th.lstack;
+    th.ldepth <- th.ldepth + 1;
+    st.lclock <- st.lclock + 1;
+    Stepped
+
+(* The pre-terminator accounting: one batched add per counter class
+   plus the per-block retirement count, before the terminator executes
+   (also before abort/unreachable raise), like the reference's
+   count-then-step. *)
 let[@inline] xflush st uid (b : L.lblock) =
   if M.enabled M.default then begin
     flush_delta b.L.lb_delta;
@@ -1551,9 +1303,9 @@ let[@inline] xflush st uid (b : L.lblock) =
   end
 
 (* Hand-specialised hook-free singleton for the instruction at [ip].
-   Mirrors [lstep_instr] case by case — same evaluation order, same
-   crash points, same writes — minus every hook option check, plus the
-   ip/clock update the run loop used to perform. *)
+   Mirrors the reference's [step_instr] case by case — same evaluation
+   order, same crash points, same writes — minus every hook, plus the
+   ip/clock update of its scheduler loop. *)
 let xinstr_fast (low : L.t) (lf : L.lfunc) (b : L.lblock) ip : xunit =
   let ip1 = ip + 1 in
   let xset = xsetter lf in
@@ -1829,23 +1581,7 @@ let xinstr_fast (low : L.t) (lf : L.lfunc) (b : L.lblock) ip : xunit =
   | L.LCall { dst; fidx; args } -> (
       match xcall_unit low lf ~ip1 ~dst ~fidx args with
       | Some x -> x
-      | None ->
-          (* arity mismatch: keep the generic path so the invalid_arg
-             fires after operand evaluation, like the reference *)
-          let gargs = Array.map (xget lf) args in
-          fun st th fr ->
-            if th.ldepth >= st.lcfg.max_call_depth then
-              raise (Crash Failure.Stack_overflow);
-            let callee = st.llow.L.l_funcs.(fidx) in
-            let vargs =
-              Array.fold_right (fun g acc -> g st fr :: acc) gargs []
-            in
-            fr.lfr_ip <- ip1;
-            record_entry st callee 0;
-            th.lstack <- make_lframe callee vargs ~dst :: th.lstack;
-            th.ldepth <- th.ldepth + 1;
-            st.lclock <- st.lclock + 1;
-            Stepped)
+      | None -> xcall_generic low lf ~ip1 ~dst ~fidx args)
   | L.LInput { dst; ty; stream } -> (
       let m = Ty.mask (width_of_ty ty) in
       fun st _ fr ->
@@ -1973,7 +1709,7 @@ let xinstr_fast (low : L.t) (lf : L.lfunc) (b : L.lblock) ip : xunit =
             raise (Crash (Failure.Lock_error "unlock of mutex not held")))
 
 (* Hook-free terminator singleton: metric flush, then the jump/return,
-   then the clock tick — the order of [lstep_thread] + the run loop. *)
+   then the clock tick — the reference's count-step-tick order. *)
 let xterm_fast (lf : L.lfunc) (b : L.lblock) ~uid : xunit =
   match b.L.lb_term with
   | L.LBr i ->
@@ -2030,27 +1766,13 @@ let xterm_fast (lf : L.lfunc) (b : L.lblock) ~uid : xunit =
   | L.LRet v -> (
       match v with
       | None ->
-          fun st th _ -> (
+          fun st th _ ->
             xflush st uid b;
-            match ldo_return_fast st th None with
-            | Stepped ->
-                st.lclock <- st.lclock + 1;
-                Stepped
-            | Program_done r ->
-                st.lclock <- st.lclock + 1;
-                Program_done r
-            | s -> s)
+            ticked st (pop_frame st th None)
       | Some (L.Oslot s) ->
-          fun st th fr -> (
+          fun st th fr ->
             xflush st uid b;
-            match ldo_return_slot st th (rget fr s) with
-            | Stepped ->
-                st.lclock <- st.lclock + 1;
-                Stepped
-            | Program_done r ->
-                st.lclock <- st.lclock + 1;
-                Program_done r
-            | s -> s)
+            ticked st (pop_frame_slot st th (rget fr s))
       | Some (L.Ocheck { slot = s; reg }) ->
           (* check after the metric flush, matching the generic arm's
              operand-evaluation point *)
@@ -2058,30 +1780,16 @@ let xterm_fast (lf : L.lfunc) (b : L.lblock) ~uid : xunit =
             Printf.sprintf "Interp: read of undefined register %s in %s" reg
               lf.L.lf_name
           in
-          fun st th fr -> (
+          fun st th fr ->
             xflush st uid b;
             if Bytes.unsafe_get fr.lfr_defined s <> '\001' then
               invalid_arg msg;
-            match ldo_return_slot st th (rget fr s) with
-            | Stepped ->
-                st.lclock <- st.lclock + 1;
-                Stepped
-            | Program_done r ->
-                st.lclock <- st.lclock + 1;
-                Program_done r
-            | s -> s)
+            ticked st (pop_frame_slot st th (rget fr s))
       | Some o ->
           let g = xget lf o in
-          fun st th fr -> (
+          fun st th fr ->
             xflush st uid b;
-            match ldo_return_slot st th (g st fr) with
-            | Stepped ->
-                st.lclock <- st.lclock + 1;
-                Stepped
-            | Program_done r ->
-                st.lclock <- st.lclock + 1;
-                Program_done r
-            | s -> s))
+            ticked st (pop_frame_slot st th (g st fr)))
   | L.LAbort msg ->
       fun st _ _ ->
         xflush st uid b;
@@ -2091,34 +1799,135 @@ let xterm_fast (lf : L.lfunc) (b : L.lblock) ~uid : xunit =
         xflush st uid b;
         raise (Crash Failure.Unreachable_reached)
 
-(* Hooked singletons: thin wrappers over the reference step functions —
-   bit-identical hook behaviour by construction — plus the ip/clock and
-   blocked-attempt accounting the run loop / [lstep_thread] used to do. *)
-let xinstr_hooked (b : L.lblock) ip : xunit =
-  let i = b.L.lb_instrs.(ip) in
-  let src_i = b.L.lb_src.instrs.(ip) in
-  fun st th fr ->
-    match lstep_instr st th fr i with
-    | Stepped ->
-        st.lclock <- st.lclock + 1;
-        Stepped
-    | Blocked ->
-        if M.enabled M.default then count_instr src_i;
-        Blocked
-    | s -> s
+(* --- the observed variant -------------------------------------------------- *)
 
-let xterm_hooked (b : L.lblock) ~uid : xunit =
-  let term = b.L.lb_term in
+(* An observed unit fires its opcode's hooks exactly where the reference
+   engine does.  The variant is compiled once per program and shared by
+   every hook set, so each arm tests its own hook at run time and, where
+   that hook is absent, runs the fast unit [u] instead: a state that
+   observes only branches pays for nothing else. *)
+
+(* [u], then on_def for its destination once it retires.  The point is
+   the unit's own, a compile-time constant; the value is the slot [u]
+   just wrote, which is what the reference's [set_reg] hands the hook
+   (the write itself is unobservable to hooks, so firing after it is
+   equivalent). *)
+let xobs_def (lf : L.lfunc) (b : L.lblock) ip dst (u : xunit) : xunit =
+  let p = { p_func = lf.L.lf_name; p_block = b.L.lb_label; p_index = ip } in
+  let reg = lf.L.lf_reg_of_slot.(dst) in
   fun st th fr ->
-    xflush st uid b;
-    match lstep_term st th fr term with
-    | Stepped ->
-        st.lclock <- st.lclock + 1;
-        Stepped
-    | Program_done r ->
-        st.lclock <- st.lclock + 1;
-        Program_done r
-    | s -> s
+    match st.lcfg.hooks.on_def with
+    | None -> u st th fr
+    | Some h -> (
+        match u st th fr with
+        | Stepped ->
+            h p ~reg ~value:(rget fr dst);
+            Stepped
+        | s -> s)
+
+(* The observed singleton for the instruction at [ip], over its fast
+   unit [u]. *)
+let xinstr_obs (low : L.t) (lf : L.lfunc) (b : L.lblock) ip (u : xunit) :
+    xunit =
+  let ip1 = ip + 1 in
+  match b.L.lb_instrs.(ip) with
+  | L.LBin { dst; _ } | L.LCmp { dst; _ } | L.LSelect { dst; _ }
+  | L.LCast { dst; _ } | L.LLoad { dst; _ } | L.LGep { dst; _ } ->
+      xobs_def lf b ip dst u
+  | L.LAlloc { dst; count; _ } ->
+      (* on_alloc sees the requested size before the allocation runs *)
+      let gc = xget lf count in
+      xobs_def lf b ip dst (fun st th fr ->
+          (match st.lcfg.hooks.on_alloc with
+           | Some f -> f (Int64.of_int (Int64.to_int (gc st fr)))
+           | None -> ());
+          u st th fr)
+  | L.LInput { dst; stream; _ } ->
+      (* the slot holds the normalised value, the one on_input reports *)
+      xobs_def lf b ip dst (fun st th fr ->
+          match u st th fr with
+          | Stepped ->
+              (match st.lcfg.hooks.on_input with
+               | Some f -> f ~stream ~value:(rget fr dst)
+               | None -> ());
+              Stepped
+          | s -> s)
+  | L.LStore { ty; w; v; addr } -> (
+      (* only the checked [Memory.store] reports the overwritten value *)
+      let gv = xget_w lf w v and ga = xget lf addr in
+      fun st th fr ->
+        match st.lcfg.hooks.on_store with
+        | None -> u st th fr
+        | Some f -> (
+            let value = gv st fr in
+            match Memory.store st.lmem (ga st fr) ~ty value with
+            | Error k -> raise (Crash k)
+            | Ok (obj, index, old_value) ->
+                f ~obj ~index ~old_value ~new_value:value;
+                fr.lfr_ip <- ip1;
+                st.lclock <- st.lclock + 1;
+                Stepped))
+  | L.LCall { dst; fidx; args } -> (
+      let enter = xcall_generic low lf ~ip1 ~dst ~fidx args in
+      fun st th fr ->
+        match st.lcfg.hooks.on_enter with
+        | None -> u st th fr
+        | Some _ -> enter st th fr)
+  | L.LPtwrite { v } ->
+      (* the operand is evaluated only for a hook, as in the reference *)
+      let g = xget lf v in
+      fun st _ fr ->
+        (match st.lcfg.hooks.on_ptwrite with
+         | Some f -> f (g st fr)
+         | None -> ());
+        fr.lfr_ip <- ip1;
+        Stepped_free
+  | L.LFree _ | L.LOutput _ | L.LAssert _ | L.LSpawn _ | L.LJoin | L.LLock _
+  | L.LUnlock _ ->
+      u
+
+(* A branch condition's low bit, returned unboxed. *)
+let xbit (lf : L.lfunc) (o : L.operand) : t -> lframe -> bool =
+  match o with
+  | L.Oslot s -> fun _ fr -> Int64.logand (rget fr s) 1L = 1L
+  | _ ->
+      let g = xget lf o in
+      fun st fr -> Int64.logand (g st fr) 1L = 1L
+
+(* The observed terminator over its fast unit [u]: on_branch after the
+   branch count, on_ret with the unnormalised value before the frame
+   pops — the reference's order, with the metric flush first. *)
+let xterm_obs (lf : L.lfunc) (b : L.lblock) ~uid (u : xunit) : xunit =
+  match b.L.lb_term with
+  | L.LCond_br { cond; if_true; if_false } -> (
+      let bit = xbit lf cond in
+      let bt = lf.L.lf_blocks.(if_true) and bf = lf.L.lf_blocks.(if_false) in
+      fun st th fr ->
+        match st.lcfg.hooks.on_branch with
+        | None -> u st th fr
+        | Some f ->
+            xflush st uid b;
+            let c = bit st fr in
+            st.lbranches <- st.lbranches + 1;
+            f c;
+            record_entry st lf (if c then if_true else if_false);
+            fr.lfr_block <- (if c then bt else bf);
+            fr.lfr_ip <- 0;
+            st.lclock <- st.lclock + 1;
+            Stepped)
+  | L.LRet v -> (
+      let gv = Option.map (xget lf) v in
+      fun st th fr ->
+        match st.lcfg.hooks.on_ret with
+        | None -> u st th fr
+        | Some h ->
+            xflush st uid b;
+            let v = Option.map (fun g -> g st fr) gv in
+            h ~func:lf.L.lf_name ~value:v;
+            ticked st (pop_frame st th v))
+  | L.LBr _ | L.LAbort _ | L.LUnreachable -> u
+
+(* --- fusion and per-program compilation ------------------------------------ *)
 
 (* Superinstruction composition: the tail runs iff the head retired.
    Each side updates ip and clock itself, so the pair is observationally
@@ -2129,8 +1938,9 @@ let xpair (head : xunit) (tail : xunit) : xunit =
 (* The hottest committed pair gets a hand-fused unit: cmp feeding the
    block's own cond_br on the compared flag, sparing the flag re-read
    and re-test.  The flag register is still written (it stays
-   observable), and both sub-steps keep their own clock tick. *)
-let xcmp_br_fused (lf : L.lfunc) (b : L.lblock) ~uid ~ip : xunit option =
+   observable), and both sub-steps keep their own clock tick.  The
+   observed unit fires on_def for the flag, then on_branch, in between. *)
+let xcmp_br_fused ~obs (lf : L.lfunc) (b : L.lblock) ~uid ~ip : xunit option =
   match b.L.lb_instrs.(ip), b.L.lb_term with
   | ( L.LCmp { dst; op; w; a; b = ob; _ },
       L.LCond_br { cond = L.Oslot cs | L.Ocheck { slot = cs; _ }; if_true; if_false } )
@@ -2140,37 +1950,56 @@ let xcmp_br_fused (lf : L.lfunc) (b : L.lblock) ~uid ~ip : xunit option =
       let tracked = lf.L.lf_tracked in
       let n = Array.length b.L.lb_instrs in
       let bt = lf.L.lf_blocks.(if_true) and bf = lf.L.lf_blocks.(if_false) in
-      Some
-        (xguarded g (fun st _ fr ->
-          let c = cond st fr in
-          rset fr dst (if c then 1L else 0L);
-          xmark tracked fr dst;
-          fr.lfr_ip <- n;
-          st.lclock <- st.lclock + 1;
-          xflush st uid b;
-          st.lbranches <- st.lbranches + 1;
-          record_entry st lf (if c then if_true else if_false);
-          fr.lfr_block <- (if c then bt else bf);
-          fr.lfr_ip <- 0;
-          st.lclock <- st.lclock + 1;
-          Stepped))
+      if not obs then
+        Some
+          (xguarded g (fun st _ fr ->
+            let c = cond st fr in
+            rset fr dst (if c then 1L else 0L);
+            xmark tracked fr dst;
+            fr.lfr_ip <- n;
+            st.lclock <- st.lclock + 1;
+            xflush st uid b;
+            st.lbranches <- st.lbranches + 1;
+            record_entry st lf (if c then if_true else if_false);
+            fr.lfr_block <- (if c then bt else bf);
+            fr.lfr_ip <- 0;
+            st.lclock <- st.lclock + 1;
+            Stepped))
+      else
+        let p = { p_func = lf.L.lf_name; p_block = b.L.lb_label; p_index = ip } in
+        let reg = lf.L.lf_reg_of_slot.(dst) in
+        Some
+          (xguarded g (fun st _ fr ->
+            let c = cond st fr in
+            let flag = if c then 1L else 0L in
+            rset fr dst flag;
+            xmark tracked fr dst;
+            fr.lfr_ip <- n;
+            st.lclock <- st.lclock + 1;
+            (match st.lcfg.hooks.on_def with
+             | Some h -> h p ~reg ~value:flag
+             | None -> ());
+            xflush st uid b;
+            st.lbranches <- st.lbranches + 1;
+            (match st.lcfg.hooks.on_branch with Some f -> f c | None -> ());
+            record_entry st lf (if c then if_true else if_false);
+            fr.lfr_block <- (if c then bt else bf);
+            fr.lfr_ip <- 0;
+            st.lclock <- st.lclock + 1;
+            Stepped))
   | _ -> None
 
-(* The hot half of one block's threaded code: the hook-free singleton
-   and fused-unit arrays the no-hooks dispatcher actually touches. *)
-let xcompile_block_hot (low : L.t) (lf : L.lfunc) (b : L.lblock) ~uid
-    (fp : Fuse.block_plan) : xunit array * xunit array =
+(* The fused units and the whole-block chain of one variant, over that
+   variant's singletons [one]. *)
+let xfuse ~obs (lf : L.lfunc) (b : L.lblock) ~uid (fp : Fuse.block_plan)
+    (one : xunit array) : xunit array * xunit * int =
   let n = Array.length b.L.lb_instrs in
-  let one =
-    Array.init (n + 1) (fun ip ->
-        if ip < n then xinstr_fast low lf b ip else xterm_fast lf b ~uid)
-  in
   (* tail of a fused unit whose last position is [ip + 1] ([= n] is the
      terminator, where the hand-fused cmp+cond_br is tried first) *)
   let pair_at ip =
     if ip + 1 < n then xpair one.(ip) one.(ip + 1)
     else
-      match xcmp_br_fused lf b ~uid ~ip with
+      match xcmp_br_fused ~obs lf b ~uid ~ip with
       | Some u -> u
       | None -> xpair one.(ip) one.(n)
   in
@@ -2181,32 +2010,35 @@ let xcompile_block_hot (low : L.t) (lf : L.lfunc) (b : L.lblock) ~uid
         | 2 -> pair_at ip
         | _ -> one.(ip))
   in
-  (one, big)
+  (* Whole-block chain.  Only blocks whose every instruction is fusable
+     qualify: calls push frames, inputs touch the stream cursor, ptwrite
+     retires clock-free ([Stepped_free] would cut the chain), the sync
+     ops may block — all of those keep per-unit dispatch.  Each sub-unit
+     still updates ip and the clock itself, so crashes, failure reports
+     and Ocheck traps inside the chain keep exact instruction
+     granularity; the budget gate in the dispatcher guarantees the chain
+     never starts unless the whole block fits the remaining quantum.
+     Cost is [n + 1]: one tick per instruction plus the terminator (no
+     ptwrite here by construction). *)
+  if Array.for_all Fuse.fusable_head b.L.lb_instrs then begin
+    let rec chain ip =
+      let l = fp.Fuse.fp_len.(ip) in
+      if ip + l > n then big.(ip) else xpair big.(ip) (chain (ip + l))
+    in
+    (big, chain 0, n + 1)
+  end
+  else (big, big.(n), max_int)
 
-(* The cold half: hook-consulting units, plus assembly of the final
-   record.  Built in a separate pass over the whole program so the hot
-   closures of [xcompile_block_hot] stay contiguous in the heap instead
-   of interleaving with hooked closures the no-hooks fast path never
-   touches — dispatch is pointer-chasing, so cache density of the hot
-   half is part of the speedup. *)
-let xcompile_block_hooked (b : L.lblock) ~uid
-    (fp : Fuse.block_plan) ((one, big) : xunit array * xunit array) : xblock =
+(* The fast variant of one block, with the static tables both variants
+   share. *)
+let xblock_fast (low : L.t) (lf : L.lfunc) (b : L.lblock) ~uid
+    (fp : Fuse.block_plan) : xblock =
   let n = Array.length b.L.lb_instrs in
-  let one_h =
+  let one =
     Array.init (n + 1) (fun ip ->
-        if ip < n then xinstr_hooked b ip else xterm_hooked b ~uid)
+        if ip < n then xinstr_fast low lf b ip else xterm_fast lf b ~uid)
   in
-  let pair_at_h ip =
-    if ip + 1 < n then xpair one_h.(ip) one_h.(ip + 1)
-    else xpair one_h.(ip) one_h.(n)
-  in
-  let big_h =
-    Array.init (n + 1) (fun ip ->
-        match fp.Fuse.fp_len.(ip) with
-        | 3 -> xpair one_h.(ip) (pair_at_h (ip + 1))
-        | 2 -> pair_at_h ip
-        | _ -> one_h.(ip))
-  in
+  let big, whole, wcost = xfuse ~obs:false lf b ~uid fp one in
   (* a unit may transfer control iff it is the terminator, a call (frame
      push; spawn only adds a thread, the current frame continues), or a
      fused unit ending in the terminator *)
@@ -2216,76 +2048,65 @@ let xcompile_block_hooked (b : L.lblock) ~uid
         || (match b.L.lb_instrs.(ip) with L.LCall _ -> true | _ -> false)
         || (fp.Fuse.fp_len.(ip) > 1 && ip + fp.Fuse.fp_len.(ip) - 1 = n))
   in
-  (* Whole-block chain over the hot units.  Only blocks whose every
-     instruction is fusable qualify: calls push frames, inputs touch the
-     stream cursor, ptwrite retires clock-free ([Stepped_free] would cut
-     the chain), the sync ops may block — all of those keep per-unit
-     dispatch.  Each sub-unit still updates ip and the clock itself, so
-     crashes, failure reports and Ocheck traps inside the chain keep
-     exact instruction granularity; the budget gate in the dispatcher
-     guarantees the chain never starts unless the whole block fits the
-     remaining quantum.  Cost is [n + 1]: one tick per instruction plus
-     the terminator (no ptwrite here by construction). *)
-  let wcost, whole =
-    if Array.for_all Fuse.fusable_head b.L.lb_instrs then begin
-      let rec chain ip =
-        let l = fp.Fuse.fp_len.(ip) in
-        if ip + l > n then big.(ip)
-        else xpair big.(ip) (chain (ip + l))
-      in
-      (n + 1, chain 0)
-    end
-    else (max_int, big.(n))
-  in
-  {
-    xb_cost = fp.Fuse.fp_cost;
-    xb_one = one;
-    xb_big = big;
-    xb_one_h = one_h;
-    xb_big_h = big_h;
-    xb_ctl = ctl;
-    xb_whole = whole;
-    xb_wcost = wcost;
-    xb_pairs = Fuse.block_pair_keys b;
-  }
+  { xb_cost = fp.Fuse.fp_cost; xb_one = one; xb_big = big; xb_ctl = ctl;
+    xb_whole = whole; xb_wcost = wcost; xb_pairs = Fuse.block_pair_keys b }
 
-let xcompile (low : L.t) : xblock array array =
+(* The observed variant: the fast block's tables, its singletons replaced
+   by their observed counterparts and the fused units rebuilt over them. *)
+let xblock_obs (low : L.t) (lf : L.lfunc) (b : L.lblock) ~uid
+    (fp : Fuse.block_plan) (fast : xblock) : xblock =
+  let n = Array.length b.L.lb_instrs in
+  let one =
+    Array.init (n + 1) (fun ip ->
+        if ip < n then xinstr_obs low lf b ip fast.xb_one.(ip)
+        else xterm_obs lf b ~uid fast.xb_one.(n))
+  in
+  let big, whole, wcost = xfuse ~obs:true lf b ~uid fp one in
+  { fast with xb_one = one; xb_big = big; xb_whole = whole; xb_wcost = wcost }
+
+type xcode = {
+  xc_fast : xblock array array;   (* indexed [lf_idx].(lb_index) *)
+  xc_obs : xblock array array;
+}
+
+(* Both variants of a program, in two passes: the whole fast variant
+   first, so its closures stay contiguous in the heap instead of
+   interleaving with observed ones an untraced run never touches —
+   dispatch is pointer-chasing, so cache density is part of the
+   speedup. *)
+let xcompile (low : L.t) : xcode =
   let fuse = Fuse.analyze low in
   let nfuncs = Array.length low.L.l_funcs in
   let base = Array.make (nfuncs + 1) 0 in
   for i = 0 to nfuncs - 1 do
     base.(i + 1) <- base.(i) + Array.length low.L.l_funcs.(i).L.lf_blocks
   done;
-  let hot =
+  let per_block f =
     Array.mapi
       (fun fi (lf : L.lfunc) ->
          Array.mapi
            (fun bi b ->
-              xcompile_block_hot low lf b ~uid:(base.(fi) + bi)
-                fuse.Fuse.f_blocks.(fi).(bi))
+              f lf b ~uid:(base.(fi) + bi) fuse.Fuse.f_blocks.(fi).(bi))
            lf.L.lf_blocks)
       low.L.l_funcs
   in
-  Array.mapi
-    (fun fi (lf : L.lfunc) ->
-       Array.mapi
-         (fun bi b ->
-            xcompile_block_hooked b ~uid:(base.(fi) + bi)
-              fuse.Fuse.f_blocks.(fi).(bi)
-              hot.(fi).(bi))
-         lf.L.lf_blocks)
-    low.L.l_funcs
+  let fast = per_block (xblock_fast low) in
+  let obs =
+    per_block (fun lf b ~uid fp ->
+        xblock_obs low lf b ~uid fp fast.(lf.L.lf_idx).(b.L.lb_index))
+  in
+  { xc_fast = fast; xc_obs = obs }
 
 (* Bounded compile cache keyed by the *physical* identity of the lowered
    program ([Prog.lowered] memoizes, so every state of one program sees
    the same [L.t]).  Compiled code is immutable, so sharing it across
    states — and across fleet domains — is safe; the mutex only guards
    the cache list itself. *)
-let xcache : (L.t * xblock array array) list ref = ref []
+let xcache : (L.t * xcode) list ref = ref []
 let xcache_mutex = Mutex.create ()
 let xcache_cap = 32
 
-let xcode_of (low : L.t) : xblock array array =
+let xcode_of (low : L.t) : xcode =
   Mutex.lock xcache_mutex;
   Fun.protect
     ~finally:(fun () -> Mutex.unlock xcache_mutex)
@@ -2313,12 +2134,13 @@ let xcode_of (low : L.t) : xblock array array =
    (callers guarantee [budget >= 1] and measure consumed ticks as the
    clock delta).  Returns on budget exhaustion ([Stepped] with the
    thread still runnable), on a scheduling event (Blocked /
-   Thread_done / Program_done), or — under a plan — whenever the top
-   frame needs the single-step path: a pending virtual ptwrite to fire,
-   or a plan-marked block, whose fused units must split at the marked
-   instructions.  Fused units never start unless their full cost fits
-   the remaining budget, so quantum boundaries and the hang check land
-   on exactly the instruction they would in singleton dispatch. *)
+   Thread_done / Program_done), or — under a plan — when the top frame
+   has a pending virtual ptwrite for the scheduler loop to fire.  A
+   plan-marked block runs its singleton units one ip at a time, so a
+   mark can leave its ptwrite pending right after the marked
+   instruction retires.  Fused units never start unless their full cost
+   fits the remaining budget, so quantum boundaries and the hang check
+   land on exactly the instruction they would in singleton dispatch. *)
 let exec_threaded (st : t) (th : lthread) ~budget : step =
   let deadline = st.lclock + budget in
   let result = ref Stepped in
@@ -2329,35 +2151,40 @@ let exec_threaded (st : t) (th : lthread) ~budget : step =
         th.lstatus <- Done_t;
         result := Thread_done;
         running := false
+    | fr :: _ when st.lplan_on && Option.is_some fr.lfr_pending ->
+        running := false
     | fr :: _ ->
         (* [lf_idx]/[lb_index] index the per-program tables by
            construction, so the block-transfer re-resolution — run once
            per block, the second-hottest path after dispatch itself —
            can skip the bounds checks *)
-        if
-          st.lplan_on
-          && ((match fr.lfr_pending with Some _ -> true | None -> false)
-             || Array.length
-                  (Array.unsafe_get
-                     (Array.unsafe_get st.lmarks fr.lfr_func.L.lf_idx)
-                     fr.lfr_block.L.lb_index)
-                <> 0)
-        then running := false
+        let b0 = fr.lfr_block in
+        let fidx = fr.lfr_func.L.lf_idx and bidx = b0.L.lb_index in
+        let xb = Array.unsafe_get (Array.unsafe_get st.lxcode fidx) bidx in
+        let one = xb.xb_one in
+        let marks =
+          if st.lplan_on then
+            Array.unsafe_get (Array.unsafe_get st.lmarks fidx) bidx
+          else [||]
+        in
+        if Array.length marks <> 0 then begin
+          (* marked block: one singleton, then back to the top, where a
+             mark it left pending ends the dispatch *)
+          if st.lclock >= deadline then running := false
+          else
+            let ip = fr.lfr_ip in
+            match Array.unsafe_get one ip st th fr with
+            | Stepped ->
+                if ip < Array.length marks && marks.(ip) >= 0 then
+                  fr.lfr_pending <- Some marks.(ip)
+            | Stepped_free -> ()
+            | (Blocked | Thread_done | Program_done _) as s ->
+                result := s;
+                running := false
+        end
         else begin
-          let b0 = fr.lfr_block in
-          let xb =
-            Array.unsafe_get
-              (Array.unsafe_get st.lxcode fr.lfr_func.L.lf_idx)
-              b0.L.lb_index
-          in
-          let one, big =
-            if st.lno_hooks then xb.xb_one, xb.xb_big
-            else xb.xb_one_h, xb.xb_big_h
-          in
-          let cost = xb.xb_cost and ctl = xb.xb_ctl in
-          (* hooks want per-unit dispatch; max_int disables the chain *)
-          let wcost = if st.lno_hooks then xb.xb_wcost else max_int in
-          let whole = xb.xb_whole in
+          let big = xb.xb_big and cost = xb.xb_cost and ctl = xb.xb_ctl in
+          let wcost = xb.xb_wcost and whole = xb.xb_whole in
           (* tight loop: stay while this frame keeps running this block
              (self-loops included); any frame or block change falls out
              to re-resolve the closure arrays and the plan checks *)
@@ -2456,14 +2283,14 @@ let create ?(config = default_config) ?plan (prog : Er_ir.Prog.t)
       lresult = None;
       lturn = 0;
       lcur = main_thread;
-      lxcode = xcode_of low;
-      lno_hooks =
-        (match config.hooks with
+      lxcode =
+        (let code = xcode_of low in
+         match config.hooks with
          | { on_branch = None; on_switch = None; on_ptwrite = None;
              on_input = None; on_store = None; on_alloc = None;
              on_def = None; on_enter = None; on_ret = None } ->
-             true
-         | _ -> false);
+             code.xc_fast
+         | _ -> code.xc_obs);
     }
   in
   (* main's entry block is current from clock 0 *)
@@ -2596,56 +2423,25 @@ let run ?pause_at (t : t) : run_result option =
       end
       else if t.lplan_on && fire_pending t th then ()
       else begin
-        (* a plan-marked block splits every fused unit: single-step it
-           through [lstep_thread] so marks are applied per instruction *)
-        let marked =
-          t.lplan_on
-          && (match th.lstack with
-             | fr :: _ ->
-                 Array.length
-                   t.lmarks.(fr.lfr_func.L.lf_idx).(fr.lfr_block.L.lb_index)
-                 <> 0
-             | [] -> false)
-        in
-        if marked then begin
-          match lstep_thread t th with
-          | exception Crash kind ->
-              let fr = List.hd th.lstack in
-              finish t ~crashed:th
-                (Failed
-                   { Failure.kind; point = lpoint_of fr;
-                     stack = lstack_of th; thread = th.ltid })
-          | Stepped ->
-              t.lclock <- t.lclock + 1;
-              incr steps
-          | Stepped_free -> ()
-          | Blocked -> stop := true
-          | Thread_done -> stop := true
-          | Program_done v ->
-              t.lclock <- t.lclock + 1;
-              finish t (Finished v)
-        end
-        else begin
-          (* threaded dispatch for as much of the quantum as remains;
-             the hang bound caps the budget so the check above fires at
-             exactly the reference instruction *)
-          let budget = min (quantum - !steps) (config.max_instrs - t.lclock) in
-          let c0 = t.lclock in
-          match exec_threaded t th ~budget with
-          | exception Crash kind ->
-              let fr = List.hd th.lstack in
-              finish t ~crashed:th
-                (Failed
-                   { Failure.kind; point = lpoint_of fr;
-                     stack = lstack_of th; thread = th.ltid })
-          | Stepped | Stepped_free -> steps := !steps + (t.lclock - c0)
-          | Blocked | Thread_done ->
-              steps := !steps + (t.lclock - c0);
-              stop := true
-          | Program_done v ->
-              steps := !steps + (t.lclock - c0);
-              finish t (Finished v)
-        end
+        (* threaded dispatch for as much of the quantum as remains;
+           the hang bound caps the budget so the check above fires at
+           exactly the reference instruction *)
+        let budget = min (quantum - !steps) (config.max_instrs - t.lclock) in
+        let c0 = t.lclock in
+        match exec_threaded t th ~budget with
+        | exception Crash kind ->
+            let fr = List.hd th.lstack in
+            finish t ~crashed:th
+              (Failed
+                 { Failure.kind; point = lpoint_of fr;
+                   stack = lstack_of th; thread = th.ltid })
+        | Stepped | Stepped_free -> steps := !steps + (t.lclock - c0)
+        | Blocked | Thread_done ->
+            steps := !steps + (t.lclock - c0);
+            stop := true
+        | Program_done v ->
+            steps := !steps + (t.lclock - c0);
+            finish t (Finished v)
       end
     done;
     (match t.lresult with

@@ -13,7 +13,12 @@
     instruction leaves a pending virtual ptwrite on its frame that fires
     (clock-free, like an instrumented [Ptwrite]) before the frame's next
     step.  The executed program is therefore constant across iterations
-    and checkpoints never need remapping when the point set changes. *)
+    and checkpoints never need remapping when the point set changes.
+
+    One engine runs every state: block-fused threaded code compiled once
+    per lowered program in a fast variant (no observer) and an observed
+    variant (fires each hook where [Interp.run_reference] does).
+    {!create} picks the observed variant iff any hook is set. *)
 
 open Er_ir.Types
 
@@ -67,6 +72,10 @@ val no_hooks : hooks
 (** Run two hook sets side by side (first argument first). *)
 val compose_hooks : hooks -> hooks -> hooks
 
+(** The always-on tracer's hooks: branch outcomes, chunk switches and
+    ptwrites into the encoder, plus every allocation size as a ptwrite. *)
+val tracer_hooks : Er_trace.Encoder.t -> hooks
+
 type config = {
   max_instrs : int;
   max_call_depth : int;
@@ -111,8 +120,12 @@ exception Crash of Failure.kind
 
 val norm : ty -> int64 -> int64
 val smt_binop : binop -> Er_smt.Expr.binop
-val eval_cmp : cmpop -> int -> int64 -> int64 -> bool
+
+(** Deterministic per-(seed, chunk#) quantum jitter. *)
 val chunk_quantum : config -> int -> int
+
+(** Global allocation in declaration order, so object ids — hence
+    packed pointers — are identical in both engines. *)
 val alloc_global_mem : Memory.t -> global -> int64
 
 (** {1 Recording plans} *)

@@ -256,6 +256,58 @@ let test_concurrent_cache =
        QCheck.(list_of_size Gen.(int_range 4 40) (int_range 0 7))
        concurrent_cache_prop)
 
+(* --- resource and clock hygiene ---------------------------------------- *)
+
+(* Each job's fresh interning space gets its own solver-cache shard; the
+   job must release it on the way out, or a long-lived process keeps one
+   shard per job forever. *)
+let test_jobs_release_cache_shards () =
+  let s = Registry.running_example in
+  let before = Er_smt.Solver.cache_shards () in
+  for _ = 1 to 20 do
+    let j =
+      Job.create
+        {
+          Job.tenant = "t";
+          work =
+            Job.Reconstruct
+              { src_name = s.Bug.name; src_prog = s.Bug.program;
+                src_workload = s.Bug.failing_workload };
+          config = Job.Config.of_pipeline s.Bug.config;
+        }
+    in
+    Job.execute j;
+    match Job.await j with
+    | Job.Finished _ -> ()
+    | _ -> Alcotest.fail "job did not finish"
+  done;
+  Alcotest.(check int) "shards after 20 sequential jobs" before
+    (Er_smt.Solver.cache_shards ())
+
+(* Stage seconds are wall time: on two worker domains their sum over all
+   bugs cannot exceed twice the fleet wall.  CPU seconds summed over the
+   process would count both domains' work in every stage. *)
+let test_stage_seconds_are_wall () =
+  let report = Fleet.run ~jobs:2 (List.map job_of_spec (subset ())) in
+  let stage_s =
+    List.fold_left
+      (fun acc (row : Fleet.row) ->
+         match row.Fleet.row_outcome with
+         | Fleet.Finished r ->
+             List.fold_left
+               (fun a (it : Pipeline.iteration) ->
+                  a +. it.Pipeline.trace_time +. it.Pipeline.symex_time
+                  +. it.Pipeline.selection_time +. it.Pipeline.verify_time)
+               acc r.Pipeline.iterations
+         | Fleet.Worker_crashed _ -> Alcotest.fail "worker crashed")
+      0. report.Fleet.rows
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "stage seconds %.3f <= 2 x fleet wall %.3f" stage_s
+       report.Fleet.wall)
+    true
+    (stage_s <= 2. *. report.Fleet.wall)
+
 let suites =
   [
     ( "fleet",
@@ -265,5 +317,9 @@ let suites =
         Alcotest.test_case "worker crash isolates to its row" `Slow
           test_crash_isolation;
         test_concurrent_cache;
+        Alcotest.test_case "20 sequential jobs release their cache shards"
+          `Slow test_jobs_release_cache_shards;
+        Alcotest.test_case "2-domain stage seconds within 2x fleet wall" `Slow
+          test_stage_seconds_are_wall;
       ] );
   ]

@@ -127,18 +127,10 @@ let observe
   Er_trace.Encoder.start enc;
   let bits = ref [] in
   let hooks =
-    {
-      Interp.no_hooks with
-      Interp.on_branch =
-        Some
-          (fun b ->
-             bits := b :: !bits;
-             Er_trace.Encoder.branch enc b);
-      on_switch =
-        Some (fun ~tid ~clock -> Er_trace.Encoder.thread_switch enc ~tid ~clock);
-      on_ptwrite = Some (fun v -> Er_trace.Encoder.ptwrite enc v);
-      on_alloc = Some (fun v -> Er_trace.Encoder.ptwrite enc v);
-    }
+    Er_vm.Vm_state.compose_hooks
+      { Interp.no_hooks with
+        Interp.on_branch = Some (fun b -> bits := b :: !bits) }
+      (Er_vm.Vm_state.tracer_hooks enc)
   in
   let config = { config with Interp.sched_seed = seed; hooks } in
   let r = run ~config prog inputs in
@@ -209,18 +201,10 @@ let trace_failure prog (s : Bug.spec) =
       let inputs, seed = s.Bug.failing_workload ~occurrence:occ in
       let enc = Er_trace.Encoder.create () in
       Er_trace.Encoder.start enc;
-      let hooks =
-        {
-          Interp.no_hooks with
-          Interp.on_branch = Some (fun b -> Er_trace.Encoder.branch enc b);
-          on_switch =
-            Some
-              (fun ~tid ~clock -> Er_trace.Encoder.thread_switch enc ~tid ~clock);
-          on_ptwrite = Some (fun v -> Er_trace.Encoder.ptwrite enc v);
-          on_alloc = Some (fun v -> Er_trace.Encoder.ptwrite enc v);
-        }
+      let config =
+        { Interp.default_config with
+          sched_seed = seed; hooks = Er_vm.Vm_state.tracer_hooks enc }
       in
-      let config = { Interp.default_config with sched_seed = seed; hooks } in
       let r = Interp.run ~config prog inputs in
       match r.Interp.outcome with
       | Interp.Failed failure -> (
@@ -568,12 +552,11 @@ let test_mt_lock_parity () =
 
 (* --- no-hooks fast-path differentials ------------------------------------ *)
 
-(* Everything above installs trace hooks, which routes execution through
-   the hooked singleton units.  The fused threaded dispatcher — committed
-   superinstruction pairs and triples, whole-block chains, pre-validated
-   Ocheck guards, the specialised call/return path — only runs hook-free,
-   so these differentials compare the engines under [no_hooks], exactly
-   as `bench vm` and plan-less replay execute. *)
+(* Everything above installs trace hooks, which selects the observed
+   variant of the threaded code.  The fast variant — whose units the
+   observed one shares wherever an opcode fires no hook — runs only
+   hook-free, so these differentials compare the engines under
+   [no_hooks], exactly as `bench vm` and plan-less replay execute. *)
 
 module Vs = Er_vm.Vm_state
 
@@ -886,23 +869,195 @@ let test_fast_shift_cmp_edges () =
     (fun () -> Er_vm.Inputs.make [])
     0
 
+(* --- observer differential ------------------------------------------------ *)
+
+(* Every hook call, in order, with its arguments: the full observable
+   contract of the observed variant.  The trace differentials above see
+   only branches, switches, ptwrites and allocations; REPT, rr and
+   Daikon also consume on_def, on_store, on_input, on_enter and on_ret.
+   [map_point] takes an on_def point back to base coordinates when the
+   run executes an instrumented program. *)
+let observers ?(map_point = Option.some) (log : string list ref) :
+    (string * Interp.hooks) list =
+  let add fmt = Printf.ksprintf (fun s -> log := s :: !log) fmt in
+  let h = Interp.no_hooks in
+  [
+    ("on_branch", { h with Interp.on_branch = Some (add "branch %b") });
+    ( "on_switch",
+      { h with
+        on_switch = Some (fun ~tid ~clock -> add "switch %d@%d" tid clock) } );
+    ("on_ptwrite", { h with on_ptwrite = Some (add "ptwrite %Ld") });
+    ( "on_input",
+      { h with
+        on_input = Some (fun ~stream ~value -> add "input %s %Ld" stream value)
+      } );
+    ( "on_store",
+      { h with
+        on_store =
+          Some
+            (fun ~obj ~index ~old_value ~new_value ->
+              add "store %d[%d] %Ld->%Ld" obj index old_value new_value) } );
+    ("on_alloc", { h with on_alloc = Some (add "alloc %Ld") });
+    ( "on_def",
+      { h with
+        on_def =
+          Some
+            (fun p ~reg ~value ->
+              add "def %s %s=%Ld"
+                (match map_point p with
+                 | Some p -> point_to_string p
+                 | None -> "inserted ptwrite")
+                reg value) } );
+    ( "on_enter",
+      { h with
+        on_enter =
+          Some
+            (fun ~func ~args ->
+              add "enter %s(%s)" func
+                (String.concat "," (List.map Int64.to_string args))) } );
+    ( "on_ret",
+      { h with
+        on_ret =
+          Some
+            (fun ~func ~value ->
+              add "ret %s %s" func
+                (match value with Some v -> Int64.to_string v | None -> "-")) } );
+  ]
+
+let all_nine ?map_point log =
+  List.fold_left
+    (fun acc (_, h) -> Vs.compose_hooks acc h)
+    Interp.no_hooks (observers ?map_point log)
+
+(* The configurations under test: each observer that fires inside
+   compiled code installed alone (on_switch fires in the scheduler, not
+   in a unit), then all nine together. *)
+let observer_configs : (string * (string list ref -> Interp.hooks)) list =
+  List.filter_map
+    (fun (name, _) ->
+       if name = "on_switch" then None
+       else Some (name, fun log -> List.assoc name (observers log)))
+    (observers (ref []))
+  @ [ ("all nine", fun log -> all_nine log) ]
+
+let hook_log
+    (run :
+       ?config:Interp.config -> Prog.t -> Er_vm.Inputs.t -> Interp.run_result)
+    prog inputs ~seed hooks_of =
+  let log = ref [] in
+  let r =
+    run
+      ~config:
+        { Interp.default_config with Interp.sched_seed = seed;
+          hooks = hooks_of log }
+      prog inputs
+  in
+  (outcome_str r.Interp.outcome, r.Interp.instr_count, List.rev !log)
+
+let hook_log_t = Alcotest.(triple string int (list string))
+
+(* Every second register-defining point of the program, in program
+   order: a recording plan that marks most block shapes. *)
+let every_other_def (p : program) : point list =
+  List.concat_map
+    (fun (f : func) ->
+       List.concat_map
+         (fun (b : block) ->
+            List.concat
+              (List.mapi
+                 (fun i instr ->
+                    match def_of_instr instr with
+                    | Some _ ->
+                        [ { p_func = f.fname; p_block = b.label; p_index = i } ]
+                    | None -> [])
+                 (Array.to_list b.instrs)))
+         f.blocks)
+    p.funcs
+  |> List.filteri (fun i _ -> i mod 2 = 0)
+
+(* The plan-driven run of [program] and the reference run of the
+   instrumented program, both under all nine hooks: instruction counts,
+   outputs and hook logs (on_def points mapped back to base
+   coordinates) must be identical. *)
+let plan_vs_instrumented program mk_inputs ~seed =
+  let points = every_other_def program in
+  let logged hooks_of run =
+    let log = ref [] in
+    let (r : Interp.run_result) =
+      run { Interp.default_config with Interp.sched_seed = seed;
+            hooks = hooks_of log }
+    in
+    (r.Interp.instr_count, r.Interp.outputs, List.rev !log)
+  in
+  let prog = Prog.of_program program in
+  let planned =
+    logged all_nine (fun config ->
+        Vs.run_to_end
+          (Vs.create ~config
+             ~plan:(Vs.plan_of_points (Prog.lowered prog) points)
+             prog (mk_inputs ())))
+  in
+  let inst, mapper = Er_select.Instrument.apply program points in
+  let instrumented =
+    logged (all_nine ~map_point:mapper) (fun config ->
+        Interp.run_reference ~config (Prog.of_program inst) (mk_inputs ()))
+  in
+  (planned, instrumented)
+
+let plan_obs_t = Alcotest.(triple int (list int64) (list string))
+
+let test_corpus_observer_differential () =
+  List.iter
+    (fun (s : Bug.spec) ->
+       let prog = Prog.of_program s.Bug.program in
+       let mk () = fst (s.Bug.failing_workload ~occurrence:1) in
+       let _, seed = s.Bug.failing_workload ~occurrence:1 in
+       List.iter
+         (fun (name, hooks_of) ->
+            Alcotest.check hook_log_t
+              (Printf.sprintf "%s %s" s.Bug.name name)
+              (hook_log Interp.run_reference prog (mk ()) ~seed hooks_of)
+              (hook_log Interp.run prog (mk ()) ~seed hooks_of))
+         observer_configs;
+       let planned, instrumented = plan_vs_instrumented s.Bug.program mk ~seed in
+       Alcotest.check plan_obs_t
+         (s.Bug.name ^ " plan vs instrumented")
+         instrumented planned)
+    Er_corpus.Registry.table1
+
+let qcheck_observer_differential =
+  QCheck2.Test.make
+    ~name:"every hook's call log matches the reference on random programs"
+    ~count:100 gen_prog_and_inputs
+    (fun (program, input_vals, seed) ->
+       let prog = Prog.of_program program in
+       let mk () = Er_vm.Inputs.make [ ("s", input_vals) ] in
+       List.for_all
+         (fun (_, hooks_of) ->
+            hook_log Interp.run_reference prog (mk ()) ~seed hooks_of
+            = hook_log Interp.run prog (mk ()) ~seed hooks_of)
+         observer_configs
+       &&
+       let planned, instrumented = plan_vs_instrumented program mk ~seed in
+       planned = instrumented)
+
 (* --- metrics parity ------------------------------------------------------ *)
 
 let vm_counters =
   [
-    ("alu", Interp.m_i_alu);
-    ("load", Interp.m_i_load);
-    ("store", Interp.m_i_store);
-    ("mem", Interp.m_i_mem);
-    ("call", Interp.m_i_call);
-    ("io", Interp.m_i_io);
-    ("sync", Interp.m_i_sync);
-    ("branch", Interp.m_i_branch);
-    ("other", Interp.m_i_other);
-    ("loads", Interp.m_loads);
-    ("stores", Interp.m_stores);
-    ("branches", Interp.m_branches);
-    ("switches", Interp.m_switches);
+    ("alu", Vs.m_i_alu);
+    ("load", Vs.m_i_load);
+    ("store", Vs.m_i_store);
+    ("mem", Vs.m_i_mem);
+    ("call", Vs.m_i_call);
+    ("io", Vs.m_i_io);
+    ("sync", Vs.m_i_sync);
+    ("branch", Vs.m_i_branch);
+    ("other", Vs.m_i_other);
+    ("loads", Vs.m_loads);
+    ("stores", Vs.m_stores);
+    ("branches", Vs.m_branches);
+    ("switches", Vs.m_switches);
   ]
 
 (* Run [f] with the default registry enabled and return the counter
@@ -1019,6 +1174,12 @@ let suites =
         Alcotest.test_case "no-hooks corpus differential" `Slow
           test_corpus_vm_fast_differential;
         QCheck_alcotest.to_alcotest qcheck_vm_fast_differential;
+      ] );
+    ( "lower observers",
+      [
+        Alcotest.test_case "every hook alone and all nine: corpus + plan"
+          `Slow test_corpus_observer_differential;
+        QCheck_alcotest.to_alcotest qcheck_observer_differential;
       ] );
     ( "lower corpus differential",
       [
