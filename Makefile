@@ -41,7 +41,7 @@ ci:
 	$(MAKE) bench-serve
 	$(MAKE) bench-warm
 	$(MAKE) fleet-determinism
-	dune exec bench/main.exe -- --validate BENCH_10.json --baseline BENCH_9.json --baseline-exact
+	dune exec bench/main.exe -- --validate BENCH_13.json --baseline BENCH_10.json --baseline-exact
 	$(MAKE) bench-diff
 
 # Run the whole bug corpus through the staged pipeline on a domain pool.
@@ -93,15 +93,16 @@ bench-warm:
 
 # Trajectory delta between the two newest committed bench files: solver
 # cost must be exactly identical (the counters are deterministic), vm
-# speedup must not drop more than 10%; wall clocks render as
-# informational deltas only.  A regression names its section before the
-# nonzero exit.
+# speedup must not drop more than 10%, and the -j 1 fleet wall divided
+# by the same file's vm reference-interpreter seconds must not rise more
+# than 25%; other wall clocks render as informational deltas only.  A
+# regression names its section before the nonzero exit.
 bench-diff:
-	dune exec bench/main.exe -- diff BENCH_9.json BENCH_10.json --exact
+	dune exec bench/main.exe -- diff BENCH_10.json BENCH_13.json --exact
 
 # Regenerate the committed trajectory: full corpus + overheads + the
 # sequential-vs-parallel fleet trials + the vm engine comparison + the
 # long-trace incremental-tracing family + the serve loadgen smoke + the
 # cold-vs-warm persistent-store trial.
 bench-fleet:
-	dune exec bench/main.exe -- table1 fig6 fleet vm longtrace serve warm -o BENCH_10.json
+	dune exec bench/main.exe -- table1 fig6 fleet vm longtrace serve warm -o BENCH_13.json

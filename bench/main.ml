@@ -28,12 +28,14 @@
      diff       OLD.json NEW.json [--exact] — render trajectory deltas
                 (solver cost, vm speedup, fleet walls, resumes, warm
                 replay) and exit non-zero on a regression, naming the
-                section that regressed
+                section that regressed; the -j 1 fleet wall, divided by
+                the same file's vm reference seconds, may rise at most
+                25%
 
    With no argument, everything runs in order.  [-o FILE] persists the
    collected per-bug trajectory (overhead %, trace bytes, solver cost,
-   cache traffic, iterations) as JSON — the committed BENCH_10.json is
-   produced by `table1 fig6 fleet vm longtrace serve warm -o BENCH_10.json`.
+   cache traffic, iterations) as JSON — the committed BENCH_13.json is
+   produced by `table1 fig6 fleet vm longtrace serve warm -o BENCH_13.json`.
    [--validate FILE]
    re-parses such a file with Er_core.Json and checks its shape, exiting
    non-zero on any mismatch.  [--baseline FILE] additionally gates the
@@ -629,11 +631,21 @@ let run_casestudy () =
 
 module J = Er_core.Json
 
-(* Filled by [run_fleet]: (workers, wall seconds, cpu seconds) per
-   trial in run order, plus whether the -j 1 and -j 4 normalized
-   reports came out identical. *)
-let fleet_trials : (int * float * float) list ref = ref []
+(* Filled by [run_fleet]: (workers, wall seconds, cpu seconds, parallel
+   efficiency) per trial in run order, plus whether the -j 1 and -j 4
+   normalized reports came out identical. *)
+let fleet_trials : (int * float * float * float) list ref = ref []
 let fleet_deterministic : bool option ref = ref None
+
+(* A trial's wall speedup over the -j 1 trial. *)
+let speedup_vs_sequential wall =
+  match
+    List.find_map
+      (fun (jobs, w, _, _) -> if jobs = 1 then Some w else None)
+      !fleet_trials
+  with
+  | Some s when wall > 0. -> s /. wall
+  | Some _ | None -> 1.
 
 (* Filled by [run_longtrace]: best wall per tracer mode plus the
    incremental run's checkpoint counters. *)
@@ -756,13 +768,13 @@ let bench_json () =
               [ ( "trials",
                   J.List
                     (List.map
-                       (fun (jobs, wall, cpu) ->
+                       (fun (jobs, wall, cpu, efficiency) ->
                           J.Obj
                             [ ("jobs", J.Int jobs); ("wall", J.Float wall);
                               ("cpu", J.Float cpu);
-                              ( "speedup",
-                                J.Float (if wall > 0. then cpu /. wall else 1.)
-                              ) ])
+                              ("efficiency", J.Float efficiency);
+                              ("speedup", J.Float (speedup_vs_sequential wall))
+                            ])
                        trials) );
                 ( "deterministic",
                   match !fleet_deterministic with
@@ -816,7 +828,7 @@ let bench_json () =
   in
   J.Obj
     ([
-      ("bench", J.Int 10);
+      ("bench", J.Int 13);
       ("bugs", J.List (List.map bug_obj results));
       ( "totals",
         J.Obj
@@ -861,7 +873,7 @@ let validate_bench path =
   | Some doc ->
       let ok_version =
         match Option.bind (J.member "bench" doc) J.to_int with
-        | Some (2 | 3 | 4 | 5 | 6 | 8 | 9 | 10) -> true
+        | Some (2 | 3 | 4 | 5 | 6 | 8 | 9 | 10 | 13) -> true
         | _ ->
             Printf.eprintf "%s: missing or wrong \"bench\" version\n" path;
             false
@@ -982,8 +994,10 @@ let check_vm_baseline ~current ~baseline =
    two committed trajectories — solver cost, vm speedup, fleet walls,
    long-trace resumes — and exits non-zero on a regression.  The
    deterministic counters gate hard (under [--exact], totals.solver_cost
-   must be identical); wall-clock numbers are rendered as informational
-   deltas only, since the two files may come from different machines. *)
+   must be identical).  Raw wall clocks are rendered as informational
+   deltas only, since the two files may come from different machines;
+   the one wall-clock gate divides the -j 1 fleet wall by the same
+   file's reference-interpreter seconds first. *)
 let run_diff ~exact old_path new_path =
   let parse path =
     match J.parse (read_file path) with
@@ -1093,6 +1107,35 @@ let run_diff ~exact old_path new_path =
            "  fleet -j %-2d wall   : %.3fs -> %.3fs (%+.1f%%, informational)\n"
            j ow nw (pct ow nw))
       shared_trials;
+  (* the end-to-end gate: sequential fleet wall in units of the same
+     file's reference-interpreter time over the vm workloads, so the
+     ratio holds across machines the way the vm speedup gate does *)
+  let fleet_per_ref doc =
+    let reference_s =
+      Option.bind (J.member "vm" doc) (fun v ->
+          Option.bind (J.member "bugs" v) J.to_list)
+      |> Option.value ~default:[]
+      |> List.fold_left
+           (fun a b ->
+              a
+              +. Option.value ~default:0.
+                   (Option.bind (J.member "reference_s" b) J.to_float))
+           0.
+    in
+    match List.assoc_opt 1 (fleet_trials doc) with
+    | Some wall when reference_s > 0. -> Some (wall /. reference_s)
+    | Some _ | None -> None
+  in
+  (match (fleet_per_ref old_doc, fleet_per_ref new_doc) with
+   | Some o, Some n ->
+       Printf.printf "  fleet -j 1 / vm ref: %.2f -> %.2f (%+.1f%%)\n" o n
+         (pct o n);
+       if n > 1.25 *. o then
+         regress "fleet"
+           "fleet -j 1 wall per reference-interpreter second rose more than \
+            25%% (%.2f -> %.2f)"
+           o n
+   | _ -> Printf.printf "  fleet -j 1 / vm ref: n/a, not compared\n");
   let lt doc k conv =
     Option.bind (J.member "long_trace" doc) (fun l ->
         Option.bind (J.member k l) conv)
@@ -1205,12 +1248,13 @@ let run_fleet () =
   in
   let trial n =
     let rep = Er_core.Fleet.run ~jobs:n (fleet_jobs ()) in
-    Printf.printf "  -j %-2d (%d worker(s)): wall %.3fs  cpu %.3fs  speedup %.2fx\n%!"
-      n rep.Er_core.Fleet.jobs rep.Er_core.Fleet.wall rep.Er_core.Fleet.cpu
-      (Er_core.Fleet.speedup rep);
-    fleet_trials :=
-      (rep.Er_core.Fleet.jobs, rep.Er_core.Fleet.wall, rep.Er_core.Fleet.cpu)
-      :: !fleet_trials;
+    let jobs = rep.Er_core.Fleet.jobs and wall = rep.Er_core.Fleet.wall in
+    let cpu = rep.Er_core.Fleet.cpu and eff = Er_core.Fleet.efficiency rep in
+    fleet_trials := (jobs, wall, cpu, eff) :: !fleet_trials;
+    Printf.printf
+      "  -j %-2d (%d worker(s)): wall %.3fs  cpu %.3fs  efficiency %.2f  \
+       speedup %.2fx vs -j 1\n%!"
+      n jobs wall cpu eff (speedup_vs_sequential wall);
     rep
   in
   let norm rep =
@@ -1234,13 +1278,13 @@ let run_longtrace () =
   let run ~incremental =
     (* both modes start from a cold solver cache so the comparison is fair *)
     Er_smt.Solver.reset_cache ();
-    let t0 = Unix.gettimeofday () in
+    let t0 = Er_metrics.default_clock () in
     let r =
       Er_core.Pipeline.run
         ~config:{ s.Bug.config with Er_core.Pipeline.incremental }
         ~base_prog:s.Bug.program ~workload:s.Bug.failing_workload ()
     in
-    (Unix.gettimeofday () -. t0, r)
+    (Er_metrics.default_clock () -. t0, r)
   in
   (* warm the code cache once, then keep the best of three walls/mode *)
   ignore (run ~incremental:true);

@@ -306,5 +306,5 @@ let baseline_sequential_wall () =
                         trials))))
   in
   List.find_map wall_of
-    [ "BENCH_10.json"; "BENCH_9.json"; "BENCH_8.json"; "BENCH_6.json";
-      "BENCH_5.json"; "BENCH_4.json" ]
+    [ "BENCH_13.json"; "BENCH_10.json"; "BENCH_9.json"; "BENCH_8.json";
+      "BENCH_6.json"; "BENCH_5.json"; "BENCH_4.json" ]

@@ -5,7 +5,7 @@
    the batch face of the job API: it wraps each corpus bug in a
    {!Job.Thunk}, submits the lot to a {!Scheduler} pool under one
    anonymous tenant, awaits the handles in submission order and renders
-   the familiar speedup report.  Per-job crash isolation (an exception
+   the familiar fleet report.  Per-job crash isolation (an exception
    in one bug's reconstruction becomes a structured [Worker_crashed]
    row, not a fleet abort) now lives in {!Job.execute}.
 
@@ -56,7 +56,12 @@ type report = {
   cpu : float;      (* sum of per-job walls: the sequential-equivalent time *)
 }
 
-let speedup r = if r.wall > 0. then r.cpu /. r.wall else 1.
+(* The share of the workers' wall time spent inside jobs: 1.0 when every
+   worker is busy from spawn to last join.  The sum of job walls over
+   fleet wall is the parallel work done, not a speedup; a speedup needs
+   a second run to compare against (the bench's [-j 1] trial). *)
+let efficiency r =
+  if r.wall > 0. then r.cpu /. (r.wall *. float_of_int r.jobs) else 1.
 
 (* ---------------------------------------------------------------- *)
 (* Batch execution over the scheduler                                 *)
@@ -67,7 +72,7 @@ let run ?jobs (js : job list) : report =
     match jobs with Some n -> n | None -> Domain.recommended_domain_count ()
   in
   let nworkers = max 1 (min requested (List.length js)) in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Er_metrics.default_clock () in
   let sched = Scheduler.create ~workers:nworkers () in
   let handles =
     List.map
@@ -109,7 +114,7 @@ let run ?jobs (js : job list) : report =
       handles
   in
   Scheduler.shutdown sched;
-  let wall = Unix.gettimeofday () -. t0 in
+  let wall = Er_metrics.default_clock () -. t0 in
   let cpu = List.fold_left (fun a r -> a +. r.row_wall) 0. rows in
   { rows; jobs = nworkers; wall; cpu }
 
@@ -182,7 +187,7 @@ let report_to_json_value ?(normalize = false) ?baseline (r : report) :
     in
     Obj
       ([ ("jobs", Int r.jobs); ("wall", Float r.wall); ("cpu", Float r.cpu);
-         ("speedup", Float (speedup r)); ("rows", rows) ]
+         ("efficiency", Float (efficiency r)); ("rows", rows) ]
        @ baseline_fields)
 
 let report_to_json ?normalize ?baseline r =

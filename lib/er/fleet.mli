@@ -3,7 +3,7 @@
     The batch face of the job API: wraps each corpus bug in a
     {!Job.Thunk}, submits the lot to a {!Scheduler} pool under one
     tenant, awaits the handles in submission order and renders a
-    speedup report.  Determinism contract: [run ~jobs:8] produces the
+    fleet report.  Determinism contract: [run ~jobs:8] produces the
     same per-bug content as [run ~jobs:1]; only wall clocks and worker
     placement vary, and [report_to_json_value ~normalize:true] strips
     exactly those (the CI fleet-determinism gate diffs that view). *)
@@ -36,7 +36,9 @@ type report = {
   cpu : float;      (** sum of per-job walls: sequential-equivalent time *)
 }
 
-val speedup : report -> float
+val efficiency : report -> float
+(** Parallel efficiency, [cpu / (wall * jobs)]: the share of the
+    workers' wall time spent inside jobs. *)
 
 val run : ?jobs:int -> job list -> report
 (** Execute the jobs on [jobs] worker domains (default

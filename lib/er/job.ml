@@ -354,7 +354,7 @@ let execute ?(worker = 0) (t : t) : unit =
             true)
   in
   if claimed then begin
-    let t0 = Unix.gettimeofday () in
+    let t0 = Er_metrics.default_clock () in
     let body () =
       match t.request.work with
       | Reconstruct s ->
@@ -426,7 +426,7 @@ let execute ?(worker = 0) (t : t) : unit =
           Crashed { exn = Printexc.to_string e; backtrace }
     in
     locked t (fun () ->
-        t.wall <- Unix.gettimeofday () -. t0;
+        t.wall <- Er_metrics.default_clock () -. t0;
         t.state <- Done outcome;
         Condition.broadcast t.cond)
   end

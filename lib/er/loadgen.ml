@@ -45,7 +45,7 @@ let run_client ~socket ~tenant ~rounds ~bugs () : client_stats =
   let submits = Hashtbl.create 64 in    (* id -> (bug, first submit time) *)
   let submit id bug =
     if not (Hashtbl.mem submits id) then
-      Hashtbl.replace submits id (bug, Unix.gettimeofday ());
+      Hashtbl.replace submits id (bug, Er_metrics.default_clock ());
     Server.Client.send cl
       (Wire.Submit { id; tenant; bug; config = None })
   in
@@ -79,7 +79,7 @@ let run_client ~socket ~tenant ~rounds ~bugs () : client_stats =
         | Wire.Job_result { id; bug; result; _ } ->
             let latency =
               match Hashtbl.find_opt submits id with
-              | Some (_, t0) -> Unix.gettimeofday () -. t0
+              | Some (_, t0) -> Er_metrics.default_clock () -. t0
               | None -> 0.
             in
             stats :=
@@ -106,7 +106,7 @@ let run_client ~socket ~tenant ~rounds ~bugs () : client_stats =
 
 let run ~socket ~clients ?(rounds = 1) ~bugs () : result =
   let clients = max 1 clients in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Er_metrics.default_clock () in
   let domains =
     List.init clients (fun c ->
         Domain.spawn (fun () ->
@@ -115,7 +115,7 @@ let run ~socket ~clients ?(rounds = 1) ~bugs () : result =
               ~rounds ~bugs ()))
   in
   let per_client = List.map Domain.join domains in
-  let wall = Unix.gettimeofday () -. t0 in
+  let wall = Er_metrics.default_clock () -. t0 in
   let all_results = List.concat_map (fun s -> s.cs_results) per_client in
   {
     lg_clients = clients;

@@ -552,10 +552,9 @@ type state = {
   st_final : status option;
 }
 
-(* Stage clock: monotonic wall seconds (CLOCK_MONOTONIC).  [Sys.time]
-   would sum CPU over every domain of the process, so under a parallel
-   fleet a stage's seconds would include its neighbours' work. *)
-let now () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
+(* Stage clock: monotonic wall seconds, never [Sys.time], which sums CPU
+   over every domain and so would charge a stage its neighbours' work. *)
+let now = Er_metrics.default_clock
 
 module Make (T : TRACER) (Sh : SHEPHERD) (Sel : SELECTOR) (V : VERIFIER) =
 struct

@@ -124,7 +124,11 @@ and domain_spans = {
 
 and span_event = { sp_path : string; sp_begin : float; sp_end : float }
 
-let default_clock () = Unix.gettimeofday ()
+(* The one clock of the system: monotonic wall seconds (CLOCK_MONOTONIC).
+   Unlike [Unix.gettimeofday] it never steps backwards; unlike [Sys.time]
+   it does not sum CPU over every domain of the process.  Pipeline stage
+   timings, job and fleet walls and loadgen latencies all read it. *)
+let default_clock () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
 
 let create ?(enabled = true) ?(clock = default_clock) () =
   {

@@ -306,7 +306,13 @@ let test_stage_seconds_are_wall () =
     (Printf.sprintf "stage seconds %.3f <= 2 x fleet wall %.3f" stage_s
        report.Fleet.wall)
     true
-    (stage_s <= 2. *. report.Fleet.wall)
+    (stage_s <= 2. *. report.Fleet.wall);
+  (* each worker runs its jobs one after another inside the fleet wall *)
+  Alcotest.(check bool)
+    (Printf.sprintf "parallel efficiency %.3f <= 1"
+       (Fleet.efficiency report))
+    true
+    (Fleet.efficiency report <= 1.)
 
 let suites =
   [

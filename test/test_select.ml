@@ -45,6 +45,27 @@ let test_bottleneck_fig4 () =
   Alcotest.(check bool) "c in bottleneck" true (has c);
   Alcotest.(check bool) "V[x] in bottleneck" true (has vx)
 
+(* Selection is structural (section 3.3.2): computing the bottleneck set
+   of a graph with assertions makes no solver query. *)
+let test_bottleneck_no_solver () =
+  let module M = Er_metrics in
+  let queries () =
+    M.Snapshot.counter_total (M.snapshot ()) "er_smt_queries_total"
+  in
+  let was = M.enabled M.default in
+  M.set_enabled M.default true;
+  Fun.protect
+    ~finally:(fun () -> M.set_enabled M.default was)
+    (fun () ->
+       let g, mem, _, _, _ = fig4 () in
+       let before = queries () in
+       let b = Er_select.Bottleneck.compute g mem in
+       Alcotest.(check bool) "graph has assertions" true
+         (g.Cgraph.assertions <> []);
+       Alcotest.(check bool) "non-empty bottleneck set" true
+         (b.Er_select.Bottleneck.elements <> []);
+       Alcotest.(check int) "no solver queries" 0 (queries () - before))
+
 let test_recording_reduction_fig4 () =
   (* the paper's reduction: record {x, c}; V[x] is deducible from them *)
   let g, mem, x, c, vx = fig4 () in
@@ -118,6 +139,8 @@ let suites =
     ( "select",
       [
         Alcotest.test_case "fig4 bottleneck set" `Quick test_bottleneck_fig4;
+        Alcotest.test_case "bottleneck makes no solver query" `Quick
+          test_bottleneck_no_solver;
         Alcotest.test_case "fig4 recording reduction" `Quick
           test_recording_reduction_fig4;
         Alcotest.test_case "cost = size x refcount" `Quick test_cost_uses_refcount;
