@@ -116,23 +116,30 @@ let measure_runs f ~runs =
   in
   (mean, sqrt var /. sqrt n)
 
-(* Best-of-N timing for throughput ratios (bench vm): machine-wide
-   interference only ever adds time, so the minimum sample is the least
-   noisy estimate of the true cost and keeps the speedup gate stable. *)
-let measure_best f ~runs =
-  ignore (f ());    (* warm-up *)
-  let reps = 5 in
+(* Best-of-N timing for the speedup gates (bench vm, bench longtrace):
+   one warm-up each, then [runs] samples of each competitor taken
+   alternately.  Machine-wide interference only ever adds time, so each
+   side's minimum is its least noisy cost, and alternating lets both
+   minima see the same stretches of host speed.  A sample averages
+   [reps] back-to-back calls, to out-resolve the clock on short
+   workloads. *)
+let best_alternating ?(clock = Sys.time) ?(reps = 1) ~runs a b =
+  a ();
+  b ();
   Gc.full_major ();
-  let best = ref infinity in
-  for _ = 1 to runs do
-    let t0 = Sys.time () in
+  let sample f =
+    let t0 = clock () in
     for _ = 1 to reps do
       f ()
     done;
-    let t = (Sys.time () -. t0) /. float_of_int reps in
-    if t < !best then best := t
+    (clock () -. t0) /. float_of_int reps
+  in
+  let ba = ref infinity and bb = ref infinity in
+  for _ = 1 to runs do
+    ba := Float.min !ba (sample a);
+    bb := Float.min !bb (sample b)
   done;
-  !best
+  (!ba, !bb)
 
 let overhead_of (s : Bug.spec) ~runs =
   let prog = Er_ir.Prog.of_program s.Bug.program in
@@ -189,49 +196,6 @@ let run_fig6 () =
    compares directly. *)
 let vm_results : (string * int * float * float) list ref = ref []
 
-(* `bench vm --opcode-mix`: instead of timing, report the hottest
-   adjacent opcode pairs (block-retirement weighted) per corpus program
-   plus the corpus aggregate — the mining pass behind the committed
-   superinstruction set in [Er_ir.Fuse.default_pairs].  The same counts
-   feed the [er_vm_top_opcode_pair] attribution table at run end. *)
-let opcode_mix = ref false
-
-let run_opcode_mix () =
-  section
-    "bench vm --opcode-mix: hottest adjacent opcode pairs, weighted by \
-     block retirements";
-  let reg = Er_metrics.default in
-  let was = Er_metrics.enabled reg in
-  Er_metrics.set_enabled reg true;
-  let agg : (string, int) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun (s : Bug.spec) ->
-       let prog = Er_ir.Prog.of_program s.Bug.program in
-       let inputs = s.Bug.perf_inputs () in
-       let st = Er_vm.Vm_state.create prog inputs in
-       ignore (Er_vm.Vm_state.run_to_end st);
-       let prof = Er_vm.Vm_state.opcode_pair_profile st in
-       List.iter
-         (fun (k, n) ->
-            Hashtbl.replace agg k
-              ((match Hashtbl.find_opt agg k with Some c -> c | None -> 0) + n))
-         prof;
-       Printf.printf "%-22s %s\n%!" s.Bug.name
-         (String.concat "  "
-            (List.filteri (fun i _ -> i < 5) prof
-            |> List.map (fun (k, n) -> Printf.sprintf "%s:%d" k n))))
-    Registry.table1;
-  Er_metrics.set_enabled reg was;
-  let sorted =
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) agg []
-    |> List.sort (fun (ka, ca) (kb, cb) ->
-           if ca <> cb then compare cb ca else String.compare ka kb)
-  in
-  Printf.printf "\n%-22s %12s\n" "aggregate pair" "weight";
-  List.iteri
-    (fun i (k, n) -> if i < 16 then Printf.printf "%-22s %12d\n" k n)
-    sorted
-
 let run_vm_timed () =
   section "bench vm: pre-lowered engine vs reference interpreter";
   Printf.printf "%-22s %10s %10s %11s %12s %12s %8s\n" "Application" "#Instr"
@@ -245,13 +209,10 @@ let run_vm_timed () =
        ignore (Er_ir.Prog.lowered prog);
        let inputs = s.Bug.perf_inputs () in
        let instrs = (Er_vm.Interp.run prog inputs).Er_vm.Interp.instr_count in
-       let lm =
-         measure_best (fun () -> ignore (Er_vm.Interp.run prog inputs)) ~runs
-       in
-       let rm =
-         measure_best
+       let lm, rm =
+         best_alternating ~reps:5 ~runs
+           (fun () -> ignore (Er_vm.Interp.run prog inputs))
            (fun () -> ignore (Er_vm.Interp.run_reference prog inputs))
-           ~runs
        in
        vm_results := (s.Bug.name, instrs, rm, lm) :: !vm_results;
        let ips t = if t > 0. then float_of_int instrs /. t else 0. in
@@ -320,8 +281,11 @@ let run_vm_traced () =
        let li, lb = traced lowered and ri, rb = traced reference in
        let same = li = ri && Bytes.equal lb rb in
        if not same then mismatched := s.Bug.name :: !mismatched;
-       let lm = measure_best (fun () -> ignore (traced lowered)) ~runs in
-       let rm = measure_best (fun () -> ignore (traced reference)) ~runs in
+       let lm, rm =
+         best_alternating ~reps:5 ~runs
+           (fun () -> ignore (traced lowered))
+           (fun () -> ignore (traced reference))
+       in
        tr := !tr +. rm;
        tl := !tl +. lm;
        Printf.printf "%-22s %10d %8d %10.4f %11.4f %7.2fx %6s\n%!" s.Bug.name
@@ -341,11 +305,8 @@ let run_vm_traced () =
       exit 1
 
 let run_vm () =
-  if !opcode_mix then run_opcode_mix ()
-  else begin
-    run_vm_timed ();
-    run_vm_traced ()
-  end
+  run_vm_timed ();
+  run_vm_traced ()
 
 (* ------------------------------------------------------------------ *)
 (* Fig 5: benefits of data value recording on symex progress           *)
@@ -1278,27 +1239,18 @@ let run_longtrace () =
   let run ~incremental =
     (* both modes start from a cold solver cache so the comparison is fair *)
     Er_smt.Solver.reset_cache ();
-    let t0 = Er_metrics.default_clock () in
-    let r =
-      Er_core.Pipeline.run
-        ~config:{ s.Bug.config with Er_core.Pipeline.incremental }
-        ~base_prog:s.Bug.program ~workload:s.Bug.failing_workload ()
-    in
-    (Er_metrics.default_clock () -. t0, r)
+    Er_core.Pipeline.run
+      ~config:{ s.Bug.config with Er_core.Pipeline.incremental }
+      ~base_prog:s.Bug.program ~workload:s.Bug.failing_workload ()
   in
-  (* warm the code cache once, then keep the best of three walls/mode *)
-  ignore (run ~incremental:true);
-  let best incremental =
-    List.fold_left
-      (fun (bw, br) () ->
-         let w, r = run ~incremental in
-         if w < bw then (w, Some r) else (bw, br))
-      (infinity, None)
-      [ (); (); () ]
+  (* best of three walls per mode, the modes alternating *)
+  let ri = ref None and rs = ref None in
+  let wi, ws =
+    best_alternating ~clock:Er_metrics.default_clock ~runs:3
+      (fun () -> ri := Some (run ~incremental:true))
+      (fun () -> rs := Some (run ~incremental:false))
   in
-  let wi, ri = best true in
-  let ws, rs = best false in
-  let ri = Option.get ri and rs = Option.get rs in
+  let ri = Option.get !ri and rs = Option.get !rs in
   let cost (r : Er_core.Pipeline.result) =
     List.fold_left
       (fun a it -> a + it.Er_core.Pipeline.solver_cost)
@@ -1720,9 +1672,6 @@ let () =
         parse (names, out, validate, baseline) rest
     | "--vm-baseline" :: f :: rest ->
         vm_base := Some f;
-        parse (names, out, validate, baseline) rest
-    | "--opcode-mix" :: rest ->
-        opcode_mix := true;
         parse (names, out, validate, baseline) rest
     | n :: rest -> parse (n :: names, out, validate, baseline) rest
   in

@@ -18,10 +18,12 @@
    constant across iterations, checkpoints never need frame remapping
    when the point set changes.
 
-   Every run executes one engine: block-fused threaded code, compiled
-   once per lowered program in two variants.  The fast variant fires no
-   observer; the observed variant shares its units wherever an opcode
-   has nothing to report and fires the configured hooks everywhere else.
+   Every run executes one engine: block-fused threaded code, in which
+   each maximal run of fusable instructions in a block is one closure
+   call, compiled once per lowered program in two variants.  The fast
+   variant fires no observer; the observed variant shares its units
+   wherever an opcode has nothing to report and fires the configured
+   hooks everywhere else.
    [create] picks the variant from whether any hook is set, so the
    dispatcher never tests for hooks, and plan-marked blocks run the
    chosen variant's singleton units one instruction at a time.
@@ -37,7 +39,6 @@ module Sem = Er_smt.Expr     (* shared concrete semantics *)
 module Ty = Er_smt.Ty
 module M = Er_metrics
 module L = Er_ir.Lower
-module Fuse = Er_ir.Fuse
 
 (* --- retirement metrics --------------------------------------------------- *)
 
@@ -75,15 +76,6 @@ let m_top_blocks =
   M.top ~k:8
     ~help:"Hottest lowered blocks by retirement count (func/label)."
     "er_vm_top_block_retired"
-
-(* Adjacent opcode pairs weighted by the retirement count of the block
-   they appear in: the mining input for the committed superinstruction
-   set (Er_ir.Fuse.default_pairs).  `bench vm --opcode-mix` reports the
-   same counts per corpus program. *)
-let m_top_pairs =
-  M.top ~k:12
-    ~help:"Hottest adjacent opcode pairs, weighted by block retirements."
-    "er_vm_top_opcode_pair"
 
 let vm_counters =
   [ m_i_alu; m_i_load; m_i_store; m_i_mem; m_i_call; m_i_io; m_i_sync;
@@ -371,32 +363,25 @@ and lthread = {
    block: pre-compiled execution units the dispatcher runs one closure
    call at a time, indexed by instruction ip with index [n] (the
    instruction count) standing for the terminator.  [xb_one] holds
-   singleton units; [xb_big] the fused unit starting at each ip where
-   Fuse committed a pair, and the singleton elsewhere (pair tails keep
-   their singleton entry so a resume can land on any instruction
-   boundary).  Every unit updates [lfr_ip] and [lclock] itself, per
-   retired sub-instruction, so a crash mid-unit reports the exact
-   instruction and the exact clock. *)
+   singleton units; [xb_big] the unit running the rest of the fusable
+   run starting at each ip (the whole block, for an all-fusable one),
+   and the singleton outside runs.  Every ip keeps both entries, so a
+   resume can land on any instruction boundary.  Every unit updates
+   [lfr_ip] and [lclock] itself, per retired sub-instruction, so a
+   crash mid-unit reports the exact instruction and the exact clock. *)
 and xunit = t -> lthread -> lframe -> step
 
 and xblock = {
-  xb_cost : int array;        (* clock ticks of xb_big.(ip): 0..3 *)
+  (* clock ticks of xb_big.(ip): its width, from [run_len] (ptwrite's
+     clock-free singleton may overstate, as [xb_big] and [xb_one] are
+     then the same unit) *)
+  xb_cost : int array;
   xb_one : xunit array;
   xb_big : xunit array;
   (* true where the unit may change the current frame or block
      (terminator, call, or a fused unit ending in the terminator):
      straight-line units skip the post-step transfer checks *)
   xb_ctl : bool array;
-  (* whole-block chain: every fused/singleton unit of the block composed
-     into one closure, terminator included — the dispatcher runs it when
-     the block starts at ip 0 and its full cost fits the remaining
-     quantum ([xb_wcost] <= budget left), so a hot self-loop costs one
-     indirect call per iteration.  [xb_wcost] is [max_int] when the
-     block is ineligible (any non-fusable instruction), which makes
-     eligibility and budget one integer compare. *)
-  xb_whole : xunit;
-  xb_wcost : int;
-  xb_pairs : string list;     (* adjacent pair keys, for the profiler *)
 }
 
 and t = {
@@ -568,11 +553,11 @@ let fire_pending st (th : lthread) : bool =
    updates: operand getters, width masks, immediate truncations, block
    targets and error strings are all resolved at compile time, so the
    fast variant executes no per-step decode, no hook option checks and
-   no width branches.  Fused units (committed opcode pairs from
-   [Fuse.analyze]) retire two sub-instructions per dispatch; every
-   sub-instruction still updates ip and the clock itself, so a crash, a
-   blocked sync op or a metric flush in the tail observes exactly the
-   state a singleton schedule would have produced.
+   no width branches.  A fused unit (see [xfuse]) retires a whole
+   maximal run of fusable instructions per dispatch; every
+   sub-instruction still updates ip and the clock itself, so a crash or
+   a metric flush inside the run observes exactly the state a singleton
+   schedule would have produced.
 
    The observed variant (see [xinstr_obs]) wraps or replaces only the
    units whose opcode fires an observer; everything else is the fast
@@ -1935,11 +1920,11 @@ let xterm_obs (lf : L.lfunc) (b : L.lblock) ~uid (u : xunit) : xunit =
 let xpair (head : xunit) (tail : xunit) : xunit =
  fun st th fr -> match head st th fr with Stepped -> tail st th fr | s -> s
 
-(* The hottest committed pair gets a hand-fused unit: cmp feeding the
-   block's own cond_br on the compared flag, sparing the flag re-read
-   and re-test.  The flag register is still written (it stays
-   observable), and both sub-steps keep their own clock tick.  The
-   observed unit fires on_def for the flag, then on_branch, in between. *)
+(* The loop exit gets a hand-fused unit: cmp feeding the block's own
+   cond_br on the compared flag, sparing the flag re-read and re-test.
+   The flag register is still written (it stays observable), and both
+   sub-steps keep their own clock tick.  The observed unit fires on_def
+   for the flag, then on_branch, in between. *)
 let xcmp_br_fused ~obs (lf : L.lfunc) (b : L.lblock) ~uid ~ip : xunit option =
   match b.L.lb_instrs.(ip), b.L.lb_term with
   | ( L.LCmp { dst; op; w; a; b = ob; _ },
@@ -1989,80 +1974,92 @@ let xcmp_br_fused ~obs (lf : L.lfunc) (b : L.lblock) ~uid ~ip : xunit option =
             Stepped))
   | _ -> None
 
-(* The fused units and the whole-block chain of one variant, over that
-   variant's singletons [one]. *)
-let xfuse ~obs (lf : L.lfunc) (b : L.lblock) ~uid (fp : Fuse.block_plan)
-    (one : xunit array) : xunit array * xunit * int =
+(* Fusion eligibility.  Same-frame instructions that either retire
+   ([Stepped]) or crash; a crash mid-unit is safe because every
+   sub-instruction updates ip and the clock itself.  Excluded:
+   call/spawn (frame or thread-set changes end a dispatch step), input
+   (its stream cursor keeps its own step), alloc/free, ptwrite
+   (clock-free) and the sync ops (may block).  A run may end in its
+   block's terminator unless that always crashes. *)
+let fusable_instr : L.linstr -> bool = function
+  | L.LBin _ | L.LCmp _ | L.LSelect _ | L.LCast _ | L.LLoad _ | L.LStore _
+  | L.LGep _ | L.LAssert _ | L.LOutput _ -> true
+  | L.LAlloc _ | L.LFree _ | L.LCall _ | L.LInput _ | L.LPtwrite _
+  | L.LSpawn _ | L.LJoin | L.LLock _ | L.LUnlock _ -> false
+
+let fusable_term : L.lterm -> bool = function
+  | L.LBr _ | L.LCond_br _ | L.LRet _ -> true
+  | L.LAbort _ | L.LUnreachable -> false
+
+(* The one fusion rule: [run_len b].(ip) is the width of the unit
+   starting at [ip] — the length of the maximal fusable run from [ip]
+   to its end (terminator included, at index [n]), or 1 outside runs.
+   Fusion never crosses a block boundary. *)
+let run_len (b : L.lblock) : int array =
   let n = Array.length b.L.lb_instrs in
-  (* tail of a fused unit whose last position is [ip + 1] ([= n] is the
-     terminator, where the hand-fused cmp+cond_br is tried first) *)
-  let pair_at ip =
-    if ip + 1 < n then xpair one.(ip) one.(ip + 1)
-    else
-      match xcmp_br_fused ~obs lf b ~uid ~ip with
-      | Some u -> u
-      | None -> xpair one.(ip) one.(n)
+  let fusable ip =
+    if ip < n then fusable_instr b.L.lb_instrs.(ip)
+    else fusable_term b.L.lb_term
   in
-  let big =
-    Array.init (n + 1) (fun ip ->
-        match fp.Fuse.fp_len.(ip) with
-        | 3 -> xpair one.(ip) (pair_at (ip + 1))
-        | 2 -> pair_at ip
-        | _ -> one.(ip))
-  in
-  (* Whole-block chain.  Only blocks whose every instruction is fusable
-     qualify: calls push frames, inputs touch the stream cursor, ptwrite
-     retires clock-free ([Stepped_free] would cut the chain), the sync
-     ops may block — all of those keep per-unit dispatch.  Each sub-unit
-     still updates ip and the clock itself, so crashes, failure reports
-     and Ocheck traps inside the chain keep exact instruction
-     granularity; the budget gate in the dispatcher guarantees the chain
-     never starts unless the whole block fits the remaining quantum.
-     Cost is [n + 1]: one tick per instruction plus the terminator (no
-     ptwrite here by construction). *)
-  if Array.for_all Fuse.fusable_head b.L.lb_instrs then begin
-    let rec chain ip =
-      let l = fp.Fuse.fp_len.(ip) in
-      if ip + l > n then big.(ip) else xpair big.(ip) (chain (ip + l))
-    in
-    (big, chain 0, n + 1)
-  end
-  else (big, big.(n), max_int)
+  let len = Array.make (n + 1) 1 in
+  for ip = n - 1 downto 0 do
+    if fusable ip && fusable (ip + 1) then len.(ip) <- len.(ip + 1) + 1
+  done;
+  len
+
+(* The fused units of one variant, over that variant's singletons
+   [one]: the unit at [ip] is its singleton followed by the unit at
+   [ip + 1], so every suffix of a run is itself a unit and the budget
+   guard can resume a run anywhere.  A run ending in a cond_br fed by
+   the block's last cmp ends in the hand-fused unit. *)
+let xfuse ~obs (lf : L.lfunc) (b : L.lblock) ~uid (len : int array)
+    (one : xunit array) : xunit array =
+  let n = Array.length b.L.lb_instrs in
+  let big = Array.copy one in
+  for ip = n - 1 downto 0 do
+    if len.(ip) > 1 then
+      big.(ip) <-
+        (match
+           if ip = n - 1 then xcmp_br_fused ~obs lf b ~uid ~ip else None
+         with
+         | Some u -> u
+         | None -> xpair one.(ip) big.(ip + 1))
+  done;
+  big
 
 (* The fast variant of one block, with the static tables both variants
    share. *)
-let xblock_fast (low : L.t) (lf : L.lfunc) (b : L.lblock) ~uid
-    (fp : Fuse.block_plan) : xblock =
+let xblock_fast (low : L.t) (lf : L.lfunc) (b : L.lblock) ~uid : xblock =
   let n = Array.length b.L.lb_instrs in
   let one =
     Array.init (n + 1) (fun ip ->
         if ip < n then xinstr_fast low lf b ip else xterm_fast lf b ~uid)
   in
-  let big, whole, wcost = xfuse ~obs:false lf b ~uid fp one in
-  (* a unit may transfer control iff it is the terminator, a call (frame
-     push; spawn only adds a thread, the current frame continues), or a
-     fused unit ending in the terminator *)
+  let len = run_len b in
+  (* a unit may transfer control iff it is or reaches the terminator, or
+     is a call (frame push; spawn only adds a thread, the current frame
+     continues) *)
   let ctl =
     Array.init (n + 1) (fun ip ->
-        ip = n
-        || (match b.L.lb_instrs.(ip) with L.LCall _ -> true | _ -> false)
-        || (fp.Fuse.fp_len.(ip) > 1 && ip + fp.Fuse.fp_len.(ip) - 1 = n))
+        ip + len.(ip) > n
+        || (match b.L.lb_instrs.(ip) with L.LCall _ -> true | _ -> false))
   in
-  { xb_cost = fp.Fuse.fp_cost; xb_one = one; xb_big = big; xb_ctl = ctl;
-    xb_whole = whole; xb_wcost = wcost; xb_pairs = Fuse.block_pair_keys b }
+  { xb_cost = len; xb_one = one; xb_big = xfuse ~obs:false lf b ~uid len one;
+    xb_ctl = ctl }
 
 (* The observed variant: the fast block's tables, its singletons replaced
    by their observed counterparts and the fused units rebuilt over them. *)
-let xblock_obs (low : L.t) (lf : L.lfunc) (b : L.lblock) ~uid
-    (fp : Fuse.block_plan) (fast : xblock) : xblock =
+let xblock_obs (low : L.t) (lf : L.lfunc) (b : L.lblock) ~uid (fast : xblock)
+    : xblock =
   let n = Array.length b.L.lb_instrs in
   let one =
     Array.init (n + 1) (fun ip ->
         if ip < n then xinstr_obs low lf b ip fast.xb_one.(ip)
         else xterm_obs lf b ~uid fast.xb_one.(n))
   in
-  let big, whole, wcost = xfuse ~obs:true lf b ~uid fp one in
-  { fast with xb_one = one; xb_big = big; xb_whole = whole; xb_wcost = wcost }
+  { fast with
+    xb_one = one;
+    xb_big = xfuse ~obs:true lf b ~uid fast.xb_cost one }
 
 type xcode = {
   xc_fast : xblock array array;   (* indexed [lf_idx].(lb_index) *)
@@ -2075,7 +2072,6 @@ type xcode = {
    dispatch is pointer-chasing, so cache density is part of the
    speedup. *)
 let xcompile (low : L.t) : xcode =
-  let fuse = Fuse.analyze low in
   let nfuncs = Array.length low.L.l_funcs in
   let base = Array.make (nfuncs + 1) 0 in
   for i = 0 to nfuncs - 1 do
@@ -2085,15 +2081,14 @@ let xcompile (low : L.t) : xcode =
     Array.mapi
       (fun fi (lf : L.lfunc) ->
          Array.mapi
-           (fun bi b ->
-              f lf b ~uid:(base.(fi) + bi) fuse.Fuse.f_blocks.(fi).(bi))
+           (fun bi b -> f lf b ~uid:(base.(fi) + bi))
            lf.L.lf_blocks)
       low.L.l_funcs
   in
   let fast = per_block (xblock_fast low) in
   let obs =
-    per_block (fun lf b ~uid fp ->
-        xblock_obs low lf b ~uid fp fast.(lf.L.lf_idx).(b.L.lb_index))
+    per_block (fun lf b ~uid ->
+        xblock_obs low lf b ~uid fast.(lf.L.lf_idx).(b.L.lb_index))
   in
   { xc_fast = fast; xc_obs = obs }
 
@@ -2184,7 +2179,6 @@ let exec_threaded (st : t) (th : lthread) ~budget : step =
         end
         else begin
           let big = xb.xb_big and cost = xb.xb_cost and ctl = xb.xb_ctl in
-          let wcost = xb.xb_wcost and whole = xb.xb_whole in
           (* tight loop: stay while this frame keeps running this block
              (self-loops included); any frame or block change falls out
              to re-resolve the closure arrays and the plan checks *)
@@ -2196,44 +2190,26 @@ let exec_threaded (st : t) (th : lthread) ~budget : step =
             end
             else begin
               let ip = fr.lfr_ip in
-              if ip = 0 && wcost <= deadline - st.lclock then
-                (* whole-block chain: ends in the terminator, so only a
-                   self-loop back to this block stays in the tight loop *)
-                match whole st th fr with
-                | Stepped ->
-                    if
-                      not
-                        (fr.lfr_block == b0
-                        && (match th.lstack with
-                           | top :: _ -> top == fr
-                           | [] -> false))
-                    then inblock := false
-                | Stepped_free -> ()
-                | (Blocked | Thread_done | Program_done _) as s ->
-                    result := s;
-                    inblock := false;
-                    running := false
-              else
-                let f =
-                  if Array.unsafe_get cost ip <= deadline - st.lclock then
-                    Array.unsafe_get big ip
-                  else Array.unsafe_get one ip
-                in
-                match f st th fr with
-                | Stepped ->
-                    if
-                      Array.unsafe_get ctl ip
-                      && not
-                           (fr.lfr_block == b0
-                           && (match th.lstack with
-                              | top :: _ -> top == fr
-                              | [] -> false))
-                    then inblock := false
-                | Stepped_free -> ()
-                | (Blocked | Thread_done | Program_done _) as s ->
-                    result := s;
-                    inblock := false;
-                    running := false
+              let f =
+                if Array.unsafe_get cost ip <= deadline - st.lclock then
+                  Array.unsafe_get big ip
+                else Array.unsafe_get one ip
+              in
+              match f st th fr with
+              | Stepped ->
+                  if
+                    Array.unsafe_get ctl ip
+                    && not
+                         (fr.lfr_block == b0
+                         && (match th.lstack with
+                            | top :: _ -> top == fr
+                            | [] -> false))
+                  then inblock := false
+              | Stepped_free -> ()
+              | (Blocked | Thread_done | Program_done _) as s ->
+                  result := s;
+                  inblock := false;
+                  running := false
             end
           done
         end
@@ -2305,44 +2281,11 @@ let set_plan (t : t) (p : plan) =
     invalid_arg "Vm_state.set_plan: state was created without a plan";
   t.lmarks <- p.pl_marks
 
-(* This state's adjacent-pair retirement counts: every pair of a block
-   (terminator included) weighted by the block's retirement count.  The
-   mining input for the committed superinstruction set; only as fresh as
-   [lblk_counts], which is metrics-gated. *)
-let pair_counts t : (string, int) Hashtbl.t =
-  let tbl = Hashtbl.create 64 in
-  Array.iter
-    (fun (lf : L.lfunc) ->
-       let base = t.lblock_base.(lf.L.lf_idx) in
-       Array.iteri
-         (fun bidx _ ->
-            let n = t.lblk_counts.(base + bidx) in
-            if n > 0 then
-              List.iter
-                (fun key ->
-                   Hashtbl.replace tbl key
-                     ((match Hashtbl.find_opt tbl key with
-                       | Some c -> c
-                       | None -> 0)
-                     + n))
-                t.lxcode.(lf.L.lf_idx).(bidx).xb_pairs)
-         lf.L.lf_blocks)
-    t.llow.L.l_funcs;
-  tbl
-
-(* Pair counts sorted hottest first (count desc, then key asc for
-   deterministic output); what `bench vm --opcode-mix` prints. *)
-let opcode_pair_profile t : (string * int) list =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) (pair_counts t) []
-  |> List.sort (fun (ka, ca) (kb, cb) ->
-         if ca <> cb then compare cb ca else String.compare ka kb)
-
 (* Publish this state's per-block retirement counts into the bounded
-   hottest-blocks table, and the derived pair counts into the pair
-   table (max per key, so repeated runs of one state just refresh their
-   rows). *)
+   hottest-blocks table (max per key, so repeated runs of one state just
+   refresh their rows). *)
 let publish_block_profile t =
-  if M.enabled M.default then begin
+  if M.enabled M.default then
     Array.iter
       (fun (lf : L.lfunc) ->
          let base = t.lblock_base.(lf.L.lf_idx) in
@@ -2354,11 +2297,7 @@ let publish_block_profile t =
                   ~key:(lf.L.lf_name ^ "/" ^ blk.L.lb_label)
                   n)
            lf.L.lf_blocks)
-      t.llow.L.l_funcs;
-    Hashtbl.iter
-      (fun key n -> M.top_observe m_top_pairs ~key n)
-      (pair_counts t)
-  end
+      t.llow.L.l_funcs
 
 let finish t ?crashed outcome =
   flush_partial t ~crashed;

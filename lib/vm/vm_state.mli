@@ -44,11 +44,6 @@ val vm_counters : Er_metrics.counter list
 (** Hottest lowered blocks by retirement count ([er_vm_top_block_retired]). *)
 val m_top_blocks : Er_metrics.top
 
-(** Hottest adjacent opcode pairs, weighted by block retirements
-    ([er_vm_top_opcode_pair]) — the mining input for the committed
-    superinstruction set in {!Er_ir.Fuse.default_pairs}. *)
-val m_top_pairs : Er_metrics.top
-
 val count_instr : instr -> unit
 val count_term : terminator -> unit
 
@@ -222,13 +217,6 @@ val memory : t -> Memory.t
 val inputs : t -> Inputs.t
 val outputs_so_far : t -> int64 list
 val lowered : t -> Er_ir.Lower.t
-
-(** This state's adjacent opcode-pair retirement counts (every adjacent
-    pair of a block, terminator included, weighted by the block's
-    retirement count), hottest first; ties broken by key for
-    deterministic output.  Counts accumulate only while metrics are
-    enabled, like the block profile they derive from. *)
-val opcode_pair_profile : t -> (string * int) list
 
 type frame_view = {
   fv_func : string;

@@ -610,10 +610,9 @@ let qcheck_vm_fast_differential =
        in
        run Interp.run_reference = run Interp.run)
 
-(* A self-looping block whose static shape exercises every unit kind at
-   once: a committed load+bin pair, a store singleton, the hand-fused
-   cmp+cond_br terminator pair — and, every instruction being fusable,
-   the whole-block chain. *)
+(* A self-looping block that is one fusable run: the unit at ip 0 runs
+   the whole block and ends in the hand-fused cmp+cond_br terminator
+   unit, and every later ip starts a shorter suffix of the run. *)
 let fused_loop_prog ?(bound = 50L) () =
   mk_prog
     ~globals:[ { gname = "cell"; g_elt_ty = I64; g_size = 1; g_init = None } ]
@@ -634,6 +633,35 @@ let fused_loop_prog ?(bound = 50L) () =
     ]
     "main"
 
+(* A self-loop whose body is one fusable run ten units wide (nine
+   instructions and the terminator): wider than a triple. *)
+let wide_loop_prog () =
+  mk_prog
+    ~globals:
+      [ { gname = "cell"; g_elt_ty = I64; g_size = 1; g_init = None };
+        { gname = "acc"; g_elt_ty = I64; g_size = 4; g_init = None } ]
+    [
+      mk_func "main" [] (Some I64)
+        [
+          mk_block "entry" [] (Br "loop");
+          mk_block "loop"
+            [
+              Load { dst = "%i"; ty = I64; addr = Global "cell" };
+              Bin { dst = "%j"; op = Add; ty = I64; a = Reg "%i"; b = Imm (1L, I64) };
+              Store { ty = I64; v = Reg "%j"; addr = Global "cell" };
+              Bin { dst = "%k"; op = And; ty = I64; a = Reg "%j"; b = Imm (3L, I64) };
+              Gep { dst = "%p"; base = Global "acc"; idx = Reg "%k" };
+              Load { dst = "%a"; ty = I64; addr = Reg "%p" };
+              Bin { dst = "%b"; op = Add; ty = I64; a = Reg "%a"; b = Reg "%j" };
+              Store { ty = I64; v = Reg "%b"; addr = Reg "%p" };
+              Cmp { dst = "%c"; op = Ult; ty = I64; a = Reg "%j"; b = Imm (30L, I64) };
+            ]
+            (Cond_br { cond = Reg "%c"; if_true = "loop"; if_false = "done" });
+          mk_block "done" [ Output { v = Reg "%b" } ] (Ret (Some (Reg "%j")));
+        ];
+    ]
+    "main"
+
 let resume_obs (r : Vs.run_result) =
   ( (match r.Vs.outcome with
      | Vs.Finished None -> "finished"
@@ -648,7 +676,7 @@ let resume_obs_t = Alcotest.(triple string int (list int64))
    land anywhere relative to the fused units — the budget guard must
    split them back to singletons so the checkpoint sits at exact
    instruction granularity, and the resumed suffix must be bit-identical
-   whether the pause fell on a fused-block boundary or inside one. *)
+   whether the pause fell on a run boundary or inside one. *)
 let test_fast_checkpoint_resume () =
   let check_prog name program mk_inputs ks =
     let straight =
@@ -679,19 +707,58 @@ let test_fast_checkpoint_resume () =
                straight first)
       ks
   in
-  (* k = 1..30 sweeps every boundary and interior position of the fused
-     loop's units across several iterations *)
+  (* a pause lands on the first quantum boundary at or past k: for every
+     k here that is clock 55 (default seed), inside the loop's run *)
   check_prog "fused loop"
     (fused_loop_prog ())
     (fun () -> Er_vm.Inputs.make [])
     (List.init 30 (fun i -> i + 1));
+  (* k = 1..40 likewise pauses at clock 55, four instructions into the
+     ten-wide run *)
+  check_prog "wide loop"
+    (wide_loop_prog ())
+    (fun () -> Er_vm.Inputs.make [])
+    (List.init 40 (fun i -> i + 1));
   let spec = Er_corpus.Registry.running_example in
   check_prog "running example" spec.Bug.program
     (fun () -> fst (spec.Bug.failing_workload ~occurrence:1))
     [ 1; 3; 7; 12; 19; 27; 40 ]
 
-(* A recording-plan mark landing on the interior instruction of a
-   would-be-fused pair forces the dispatcher back to singleton units for
+(* The budget guard on runs wider than a triple: with a jitter-free
+   quantum of q ticks the first pause must fall at exactly clock q,
+   which for q = 8..20 is every position of the wide loop's run (the
+   entry branch takes clock 0), and the resumed run must match the
+   straight one. *)
+let test_budget_guard_wide_run () =
+  let program = wide_loop_prog () in
+  let straight =
+    resume_obs
+      (Vs.run_program ~config:Interp.default_config (Prog.of_program program)
+         (Er_vm.Inputs.make []))
+  in
+  for q = 8 to 20 do
+    let config =
+      { Interp.default_config with Interp.quantum = q; quantum_jitter = 0 }
+    in
+    let prog = Prog.of_program program in
+    let vm =
+      Vs.create ~config ~plan:(Vs.empty_plan (Prog.lowered prog)) prog
+        (Er_vm.Inputs.make [])
+    in
+    (match Vs.run ~pause_at:1 vm with
+     | Some _ -> Alcotest.fail "finished before the first quantum boundary"
+     | None ->
+         Alcotest.(check int)
+           (Printf.sprintf "quantum %d: pause clock" q)
+           q (Vs.clock vm));
+    Alcotest.check resume_obs_t
+      (Printf.sprintf "quantum %d: resumed vs straight" q)
+      straight
+      (resume_obs (Vs.run_to_end vm))
+  done
+
+(* A recording-plan mark landing on an interior instruction of a
+   would-be-fused run forces the dispatcher back to singleton units for
    that block; the run must stay bit-identical to the unmarked one. *)
 let test_plan_split_fused_pair () =
   let program = fused_loop_prog () in
@@ -704,7 +771,7 @@ let test_plan_split_fused_pair () =
     resume_obs (Vs.run_to_end vm)
   in
   let unmarked = run (Vs.empty_plan low) in
-  (* p_index 1 is the Bin: the tail of the committed load+bin pair *)
+  (* p_index 1 is the Bin: the second instruction of the loop's run *)
   let marked =
     run
       (Vs.plan_of_points low
@@ -722,7 +789,7 @@ let test_plan_split_fused_pair () =
 (* Crashes inside fused units: the failure must name the exact
    sub-instruction, with the preceding elements of the unit retired. *)
 let test_fused_unit_crash_parity () =
-  (* head faults: udiv-by-zero heading a committed bin+store pair *)
+  (* head faults: udiv-by-zero heading a bin+store+ret run *)
   let div_prog =
     mk_prog
       ~globals:[ { gname = "cell"; g_elt_ty = I64; g_size = 1; g_init = None } ]
@@ -744,7 +811,7 @@ let test_fused_unit_crash_parity () =
     (Prog.of_program div_prog)
     (fun () -> Er_vm.Inputs.make [])
     0;
-  (* tail faults: out-of-bounds store ending a bin+gep+store triple,
+  (* tail faults: out-of-bounds store closing a bin+gep+store run,
      after the two head elements retired *)
   let oob_prog =
     mk_prog
@@ -766,6 +833,34 @@ let test_fused_unit_crash_parity () =
   in
   check_fast_pair "out-of-bounds store at fused-triple tail"
     (Prog.of_program oob_prog)
+    (fun () -> Er_vm.Inputs.make [])
+    0;
+  (* a straight-line run of seven fusable instructions whose last
+     store faults, after the six before it retired *)
+  let wide_oob_prog =
+    mk_prog
+      ~globals:[ { gname = "cell"; g_elt_ty = I64; g_size = 2; g_init = None } ]
+      [
+        mk_func "main" [] None
+          [
+            mk_block "entry" [] (Br "go");
+            mk_block "go"
+              [
+                Load { dst = "%a"; ty = I64; addr = Global "cell" };
+                Bin { dst = "%b"; op = Add; ty = I64; a = Reg "%a"; b = Imm (7L, I64) };
+                Store { ty = I64; v = Reg "%b"; addr = Global "cell" };
+                Bin { dst = "%v"; op = Mul; ty = I64; a = Reg "%b"; b = Imm (9L, I64) };
+                Cmp { dst = "%c"; op = Ult; ty = I64; a = Reg "%v"; b = Reg "%b" };
+                Gep { dst = "%p"; base = Global "cell"; idx = Reg "%v" };
+                Store { ty = I64; v = Reg "%v"; addr = Reg "%p" };
+              ]
+              (Ret None);
+          ];
+      ]
+      "main"
+  in
+  check_fast_pair "out-of-bounds store ending a seven-wide run"
+    (Prog.of_program wide_oob_prog)
     (fun () -> Er_vm.Inputs.make [])
     0
 
@@ -794,7 +889,7 @@ let undef_in_fused_prog take_def_path =
             [ Bin { dst = "%x"; op = Add; ty = I64; a = Imm (1L, I64); b = Imm (2L, I64) } ]
             (Br "use");
           mk_block "skip" [] (Br "use");
-          (* the checked %x read heads a committed bin+store pair *)
+          (* the checked %x read heads a bin+store+ret run *)
           mk_block "use"
             [
               Bin { dst = "%y"; op = Add; ty = I64; a = Reg "%x"; b = Imm (1L, I64) };
@@ -1165,6 +1260,8 @@ let suites =
           test_fast_checkpoint_resume;
         Alcotest.test_case "plan mark splits a fused pair" `Quick
           test_plan_split_fused_pair;
+        Alcotest.test_case "budget guard splits a wide run" `Quick
+          test_budget_guard_wide_run;
         Alcotest.test_case "crashes inside fused units" `Quick
           test_fused_unit_crash_parity;
         Alcotest.test_case "undefined read inside a fused unit" `Quick
