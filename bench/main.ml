@@ -15,7 +15,9 @@
      smoke      one-bug pipeline + overhead run, for CI
      vm         pre-lowered engine vs reference interpreter, instr/sec,
                 untraced (gated) and traced under each bug's recording
-                plan (packet bytes must match the reference)
+                plan (packet bytes must match the reference), plus the
+                checkpointed production capture (gated against the
+                plain traced run)
      fleet      Table 1 corpus on a domain pool, -j 1 vs -j 4
      longtrace  long-trace family: checkpoint/resume vs from-scratch
      serve      in-process er-serve daemon under a 4-client loadgen;
@@ -119,27 +121,34 @@ let measure_runs f ~runs =
 (* Best-of-N timing for the speedup gates (bench vm, bench longtrace):
    one warm-up each, then [runs] samples of each competitor taken
    alternately.  Machine-wide interference only ever adds time, so each
-   side's minimum is its least noisy cost, and alternating lets both
+   side's minimum is its least noisy cost, and alternating lets all
    minima see the same stretches of host speed.  A sample averages
    [reps] back-to-back calls, to out-resolve the clock on short
-   workloads. *)
-let best_alternating ?(clock = Sys.time) ?(reps = 1) ~runs a b =
-  a ();
-  b ();
+   workloads.  A competitor is a preparation returning the call to time:
+   the preparations of a sample's [reps] calls run before its clock
+   starts. *)
+let best_alternating_staged ?(clock = Sys.time) ?(reps = 1) ~runs fs =
+  List.iter (fun prepare -> prepare () ()) fs;
   Gc.full_major ();
-  let sample f =
+  let sample prepare =
+    let calls = List.init reps (fun _ -> prepare ()) in
     let t0 = clock () in
-    for _ = 1 to reps do
-      f ()
-    done;
+    List.iter (fun call -> call ()) calls;
     (clock () -. t0) /. float_of_int reps
   in
-  let ba = ref infinity and bb = ref infinity in
+  let best = Array.make (List.length fs) infinity in
   for _ = 1 to runs do
-    ba := Float.min !ba (sample a);
-    bb := Float.min !bb (sample b)
+    List.iteri (fun i f -> best.(i) <- Float.min best.(i) (sample f)) fs
   done;
-  (!ba, !bb)
+  Array.to_list best
+
+let best_alternating ?clock ?reps ~runs a b =
+  match
+    best_alternating_staged ?clock ?reps ~runs
+      [ (fun () -> a); (fun () -> b) ]
+  with
+  | [ ta; tb ] -> (ta, tb)
+  | _ -> assert false
 
 let overhead_of (s : Bug.spec) ~runs =
   let prog = Er_ir.Prog.of_program s.Bug.program in
@@ -234,16 +243,26 @@ let run_vm_timed () =
    always-on production path — against the reference engine on the
    instrumented program under the same hooks.  Packet bytes and
    instruction counts must match exactly, else the job exits non-zero;
-   the traced speedup is reported, not gated. *)
+   the traced speedup is reported, not gated.
+
+   The capture column is the production path as the pipeline runs it:
+   [Pipeline.Default_tracer.capture] under the bug's own config, so with
+   its checkpoints, on a fresh session per call (started outside the
+   clock, as a tracer session outlives its runs).  Its total over the
+   plain traced total is gated at [max_capture_ratio]: checkpointing
+   costs what the store changed, not what it holds. *)
+let max_capture_ratio = 1.35
+
 let run_vm_traced () =
   section
     "bench vm (traced): tracer hooks + recording plan vs reference on the \
-     instrumented program";
-  Printf.printf "%-22s %10s %8s %10s %11s %8s %6s\n" "Application" "#Instr"
-    "#points" "ref (s)" "traced (s)" "speedup" "bytes";
+     instrumented program, and the checkpointed capture";
+  Printf.printf "%-22s %10s %8s %10s %11s %8s %6s %12s %8s\n" "Application"
+    "#Instr" "#points" "ref (s)" "traced (s)" "speedup" "bytes" "capture (s)"
+    "capture/";
   let runs = 5 in
   let mismatched = ref [] in
-  let tr = ref 0. and tl = ref 0. in
+  let tr = ref 0. and tl = ref 0. and tc = ref 0. in
   List.iter
     (fun (s : Bug.spec) ->
        let points =
@@ -261,10 +280,11 @@ let run_vm_traced () =
        in
        ignore (Er_ir.Prog.lowered inst);
        let inputs = s.Bug.perf_inputs () in
-       let vm_config = s.Bug.config.Er_core.Pipeline.vm_config in
-       let ring_bytes = s.Bug.config.Er_core.Pipeline.ring_bytes in
+       let config = s.Bug.config in
+       let vm_config = config.Er_core.Pipeline.vm_config in
+       let ring_bytes = config.Er_core.Pipeline.ring_bytes in
        let enc = Er_trace.Encoder.create ~ring_bytes () in
-       let config =
+       let hooked =
          { vm_config with hooks = Er_vm.Vm_state.tracer_hooks enc }
        in
        let traced run =
@@ -275,34 +295,67 @@ let run_vm_traced () =
        in
        let lowered () =
          Er_vm.Vm_state.run_to_end
-           (Er_vm.Vm_state.create ~config ~plan prog inputs)
+           (Er_vm.Vm_state.create ~config:hooked ~plan prog inputs)
        in
-       let reference () = Er_vm.Interp.run_reference ~config inst inputs in
+       let reference () =
+         Er_vm.Interp.run_reference ~config:hooked inst inputs
+       in
+       let forward = Er_select.Instrument.forward s.Bug.program points in
+       let sched_seed = vm_config.Er_vm.Interp.sched_seed in
+       let module T = Er_core.Pipeline.Default_tracer in
+       let session () = T.start ~config ~base_prog:prog in
+       let capture session () =
+         ignore
+           (T.capture ~session ~config ~points ~forward ~tracked:None ~inputs
+              ~sched_seed)
+       in
        let li, lb = traced lowered and ri, rb = traced reference in
-       let same = li = ri && Bytes.equal lb rb in
+       let ci =
+         let session = session () in
+         capture session ();
+         (T.stats session).Er_core.Pipeline.ck_executed_instrs
+       in
+       let same = li = ri && Bytes.equal lb rb && ci = li in
        if not same then mismatched := s.Bug.name :: !mismatched;
-       let lm, rm =
-         best_alternating ~reps:5 ~runs
-           (fun () -> ignore (traced lowered))
-           (fun () -> ignore (traced reference))
+       let lm, rm, cm =
+         match
+           best_alternating_staged ~reps:5 ~runs
+             [ (fun () () -> ignore (traced lowered));
+               (fun () () -> ignore (traced reference));
+               (fun () -> capture (session ())) ]
+         with
+         | [ lm; rm; cm ] -> (lm, rm, cm)
+         | _ -> assert false
        in
        tr := !tr +. rm;
        tl := !tl +. lm;
-       Printf.printf "%-22s %10d %8d %10.4f %11.4f %7.2fx %6s\n%!" s.Bug.name
-         li (List.length points) rm lm
-         (if lm > 0. then rm /. lm else 1.)
-         (if same then "same" else "DIFFER"))
+       tc := !tc +. cm;
+       let ratio a b = if b > 0. then a /. b else 1. in
+       Printf.printf "%-22s %10d %8d %10.4f %11.4f %7.2fx %6s %12.4f %7.2fx\n%!"
+         s.Bug.name li (List.length points) rm lm (ratio rm lm)
+         (if same then "same" else "DIFFER")
+         cm (ratio cm lm))
     Registry.table1;
-  Printf.printf "%-22s %10s %8s %10.4f %11.4f %7.2fx\n" "total" "" "" !tr !tl
-    (if !tl > 0. then !tr /. !tl else 1.);
-  match !mismatched with
-  | [] -> ()
-  | names ->
-      Printf.eprintf
-        "bench vm: traced run differs from the reference on the \
-         instrumented program: %s\n"
-        (String.concat ", " (List.rev names));
-      exit 1
+  let capture_ratio = if !tl > 0. then !tc /. !tl else 1. in
+  Printf.printf "%-22s %10s %8s %10.4f %11.4f %7.2fx %6s %12.4f %7.2fx\n" "total"
+    "" "" !tr !tl
+    (if !tl > 0. then !tr /. !tl else 1.)
+    "" !tc capture_ratio;
+  (match !mismatched with
+   | [] -> ()
+   | names ->
+       Printf.eprintf
+         "bench vm: traced run differs from the reference on the \
+          instrumented program, or the capture ran a different count: %s\n"
+         (String.concat ", " (List.rev names));
+       exit 1);
+  if capture_ratio > max_capture_ratio then begin
+    Printf.eprintf
+      "bench vm: checkpointed capture takes %.2fx the plain traced VM \
+       (gate %.2fx)\n"
+      capture_ratio max_capture_ratio;
+    exit 1
+  end
 
 let run_vm () =
   run_vm_timed ();

@@ -27,14 +27,12 @@ and m_pk_tnt = packet_counter "tnt"
 and m_pk_tip = packet_counter "tip"
 and m_pk_ptw = packet_counter "ptw"
 and m_pk_mtc = packet_counter "mtc"
-and m_pk_ovf = packet_counter "ovf"
 
 let m_by_psb = byte_counter "psb"
 and m_by_tnt = byte_counter "tnt"
 and m_by_tip = byte_counter "tip"
 and m_by_ptw = byte_counter "ptw"
 and m_by_mtc = byte_counter "mtc"
-and m_by_ovf = byte_counter "ovf"
 
 let m_ring_overwritten =
   M.counter ~help:"Ring-buffer bytes lost to wrap-around."
@@ -48,19 +46,6 @@ let m_compression =
   M.gauge
     ~help:"Branch outcomes encoded per trace byte in the last capture."
     "er_trace_compression_ratio"
-
-let count_packet pkt =
-  let pk, by =
-    match (pkt : Packet.t) with
-    | Packet.Psb -> (m_pk_psb, m_by_psb)
-    | Packet.Tnt _ -> (m_pk_tnt, m_by_tnt)
-    | Packet.Tip _ -> (m_pk_tip, m_by_tip)
-    | Packet.Ptw _ -> (m_pk_ptw, m_by_ptw)
-    | Packet.Mtc _ -> (m_pk_mtc, m_by_mtc)
-    | Packet.Ovf -> (m_pk_ovf, m_by_ovf)
-  in
-  M.inc pk;
-  M.add by (Packet.size pkt)
 
 type stats = {
   mutable branches : int;
@@ -77,7 +62,6 @@ type t = {
      hot path ([branch]) is allocation-free. *)
   mutable pending_bits : int;
   mutable pending_n : int;
-  scratch : Buffer.t;
   stats : stats;
 }
 
@@ -86,17 +70,40 @@ let create ?(ring_bytes = 1 lsl 22) () =
     ring = Ring.create ring_bytes;
     pending_bits = 0;
     pending_n = 0;
-    scratch = Buffer.create 16;
     stats = { branches = 0; ptwrites = 0; switches = 0; packets = 0; bytes = 0 };
   }
 
-let emit t pkt =
-  Buffer.clear t.scratch;
-  Packet.append_bytes t.scratch pkt;
-  Ring.write_bytes t.ring (Buffer.to_bytes t.scratch);
+(* Every packet goes straight into the ring in the layout of
+   [Packet.append_bytes]: the opcode byte, then the payload's low bytes,
+   little-endian.  No [Packet.t] or buffer is built, so emission is
+   allocation-free. *)
+let counted t size pk by =
   t.stats.packets <- t.stats.packets + 1;
-  t.stats.bytes <- t.stats.bytes + Packet.size pkt;
-  if M.enabled M.default then count_packet pkt
+  t.stats.bytes <- t.stats.bytes + size;
+  M.inc pk;
+  M.add by size
+
+let write_le t v nbytes =
+  for i = 0 to nbytes - 1 do
+    Ring.write_byte t.ring (v lsr (8 * i))
+  done
+
+let emit_tip t tid =
+  Ring.write_byte t.ring Packet.op_tip;
+  write_le t tid 4;
+  counted t 5 m_pk_tip m_by_tip
+
+let emit_mtc t clock =
+  Ring.write_byte t.ring Packet.op_mtc;
+  write_le t (clock land 0xFFFF) 2;
+  counted t 3 m_pk_mtc m_by_mtc
+
+let emit_ptw t v =
+  Ring.write_byte t.ring Packet.op_ptw;
+  for i = 0 to 7 do
+    Ring.write_byte t.ring (Int64.to_int (Int64.shift_right_logical v (8 * i)))
+  done;
+  counted t 9 m_pk_ptw m_by_ptw
 
 let flush_tnt t =
   if t.pending_n > 0 then begin
@@ -105,16 +112,14 @@ let flush_tnt t =
        1..n (newest at bit 1), stop bit at n+1 *)
     let byte = 1 lor (t.pending_bits lsl 1) lor (1 lsl (n + 1)) in
     Ring.write_byte t.ring byte;
-    t.stats.packets <- t.stats.packets + 1;
-    t.stats.bytes <- t.stats.bytes + 1;
-    M.inc m_pk_tnt;
-    M.inc m_by_tnt;
+    counted t 1 m_pk_tnt m_by_tnt;
     t.pending_bits <- 0;
     t.pending_n <- 0
   end
 
 let start t =
-  emit t Packet.Psb
+  Ring.write_byte t.ring Packet.op_psb;
+  counted t 1 m_pk_psb m_by_psb
 
 let branch t taken =
   t.stats.branches <- t.stats.branches + 1;
@@ -126,17 +131,17 @@ let branch t taken =
 let thread_switch t ~tid ~clock =
   flush_tnt t;
   t.stats.switches <- t.stats.switches + 1;
-  emit t (Packet.Tip tid);
-  emit t (Packet.Mtc clock)
+  emit_tip t tid;
+  emit_mtc t clock
 
 let timestamp t ~clock =
   flush_tnt t;
-  emit t (Packet.Mtc clock)
+  emit_mtc t clock
 
 let ptwrite t v =
   flush_tnt t;
   t.stats.ptwrites <- t.stats.ptwrites + 1;
-  emit t (Packet.Ptw v)
+  emit_ptw t v
 
 (* Finish tracing and snapshot the buffer (what the ER runtime ships to
    the analysis engine when the failure fires). *)

@@ -1,7 +1,8 @@
 (** The runtime side of hardware-style tracing: accumulates branch
     outcomes into TNT packets and streams packets into the ring buffer —
     the per-instruction work whose cost is the online monitoring overhead
-    of Fig. 6.  The branch hot path is allocation-free. *)
+    of Fig. 6.  Every packet is written straight into the ring, so
+    emission allocates nothing. *)
 
 type stats = {
   mutable branches : int;

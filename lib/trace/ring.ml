@@ -35,34 +35,6 @@ let write_byte t b =
   end;
   t.written <- t.written + 1
 
-(* Bulk write as one or two [Bytes.blit]s split at the wrap point,
-   instead of a byte loop that re-checks the wrap per byte.  The
-   [written]/[wraps]/[head] accounting is exactly the byte loop's:
-   [head] advances by [len] modulo capacity and [wraps] increments once
-   per capacity boundary crossed (a qcheck oracle in test/test_trace.ml
-   compares against the loop, including multi-wrap writes). *)
-let write_bytes t (s : Bytes.t) =
-  let len = Bytes.length s in
-  let cap = t.capacity in
-  let wraps_delta = (t.head + len) / cap in
-  if len >= cap then begin
-    (* only the last [cap] bytes survive; they land ending at the new
-       head, exactly where the byte loop would have left them *)
-    let final_head = (t.head + len) mod cap in
-    let src = len - cap in
-    Bytes.blit s src t.data final_head (cap - final_head);
-    Bytes.blit s (src + cap - final_head) t.data 0 final_head;
-    t.head <- final_head
-  end
-  else begin
-    let n1 = min len (cap - t.head) in
-    Bytes.blit s 0 t.data t.head n1;
-    Bytes.blit s n1 t.data 0 (len - n1);
-    t.head <- (t.head + len) mod cap
-  end;
-  t.wraps <- t.wraps + wraps_delta;
-  t.written <- t.written + len
-
 (* Snapshot the live contents, oldest byte first. *)
 let contents t =
   if not (overflowed t) then Bytes.sub t.data 0 t.head

@@ -9,21 +9,17 @@
 type t = {
   streams : (string, int64 array) Hashtbl.t;
   cursors : (string, int ref) Hashtbl.t;
-  (* consumption log, for recording baselines and debugging *)
-  mutable consumed : (string * int64) list;
 }
 
 let make (streams : (string * int64 list) list) : t =
   let tbl = Hashtbl.create 8 in
   List.iter (fun (name, vals) -> Hashtbl.replace tbl name (Array.of_list vals)) streams;
-  { streams = tbl; cursors = Hashtbl.create 8; consumed = [] }
+  { streams = tbl; cursors = Hashtbl.create 8 }
 
 let of_string ~stream s =
   make [ (stream, List.init (String.length s) (fun i -> Int64.of_int (Char.code s.[i]))) ]
 
-let reset t =
-  Hashtbl.reset t.cursors;
-  t.consumed <- []
+let reset t = Hashtbl.reset t.cursors
 
 let read t stream =
   match Hashtbl.find_opt t.streams stream with
@@ -41,29 +37,19 @@ let read t stream =
       else begin
         let v = arr.(!cur) in
         incr cur;
-        t.consumed <- (stream, v) :: t.consumed;
-        v |> Option.some
+        Some v
       end
-
-let consumed t = List.rev t.consumed
 
 (* --- checkpoint support ------------------------------------------------ *)
 
-type checkpoint = {
-  ck_cursors : (string * int) list;
-  ck_consumed : (string * int64) list;   (* immutable list: shared, not copied *)
-}
+type checkpoint = { ck_cursors : (string * int) list }
 
 let checkpoint t =
-  {
-    ck_cursors = Hashtbl.fold (fun s c acc -> (s, !c) :: acc) t.cursors [];
-    ck_consumed = t.consumed;
-  }
+  { ck_cursors = Hashtbl.fold (fun s c acc -> (s, !c) :: acc) t.cursors [] }
 
 let restore t ck =
   Hashtbl.reset t.cursors;
-  List.iter (fun (s, v) -> Hashtbl.replace t.cursors s (ref v)) ck.ck_cursors;
-  t.consumed <- ck.ck_consumed
+  List.iter (fun (s, v) -> Hashtbl.replace t.cursors s (ref v)) ck.ck_cursors
 
 (* Swap in another workload's stream contents while keeping cursor
    positions: how an incremental run resumes a checkpointed prefix under

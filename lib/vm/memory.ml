@@ -4,8 +4,7 @@
    pointer is the integer 0.  Bounds, liveness and access-width checks
    implement the fail-stop crash detection of the runtime.
 
-   Cells are stored in fixed-size pages under a copy-on-write discipline
-   so the whole store can be snapshotted in O(live pages' pointers):
+   Cells are stored in fixed-size pages under a copy-on-write discipline:
    [snapshot] records shallow page-pointer tables plus the scalar
    counters and bumps a generation; the first store into a page whose
    generation is stale copies the page first.  Structural changes
@@ -13,7 +12,21 @@
    [revert] can undo them; data writes need no journal entries — the
    checkpoint's page pointers still reference the pre-write pages.
    Checkpoints stay valid across repeated reverts and across later
-   snapshots. *)
+   snapshots.
+
+   A snapshot costs one persistent-map update per object changed since
+   the previous snapshot or revert, not a pass over every object ever
+   allocated.  [base] holds every live
+   object's page table as of that point, in a persistent map each
+   checkpoint shares; [dirty] lists the objects whose table or liveness
+   changed since.  Invariant (once [gen > 0]): every live object not on
+   [dirty] has exactly the table [base] maps it to, and [base] maps no
+   freed object that is not on [dirty].  An object joins [dirty] at
+   alloc, free, stack release and on the store paths' copy-on-write
+   branch — the first write into a page since the last snapshot or
+   revert — so stores into already-copied pages pay nothing.  Before the
+   first snapshot nothing is tracked; that snapshot builds [base] from
+   the whole table. *)
 
 open Er_ir.Types
 
@@ -46,7 +59,10 @@ type obj = {
   o_pgen : int array;              (* per-page generation of last copy *)
   o_heap : bool;
   mutable o_freed : bool;
+  mutable o_dgen : int;            (* [gen] at which it joined [dirty] *)
 }
+
+module Imap = Map.Make (Int)
 
 (* Undo log for structural mutations since a checkpoint. *)
 type journal_entry =
@@ -61,6 +77,10 @@ type t = {
   mutable gen : int;               (* bumped at snapshot and revert *)
   mutable journal : journal_entry list;
   mutable journal_len : int;
+  (* page tables of the live objects as of the last snapshot/revert *)
+  mutable base : Bytes.t array Imap.t;
+  (* objects changed since then, each at most once (see [mark_dirty]) *)
+  mutable dirty : obj list;
   (* direct-mapped lookup cache for the exn access path, indexed by
      [id land cache_mask]: hot loops touch a handful of objects
      (induction cell, a global table or two, the current heap record)
@@ -77,9 +97,9 @@ type checkpoint = {
   ck_peak_cells : int;
   ck_journal_len : int;
   (* shallow page-pointer tables of every un-freed object at snapshot
-     time; freed objects are immutable (stores fault) so theirs need no
-     copy *)
-  ck_pages : (int * Bytes.t array) list;
+     time, shared with [base] and with neighbouring checkpoints; freed
+     objects are immutable (stores fault) so theirs need no copy *)
+  ck_pages : Bytes.t array Imap.t;
 }
 
 (* Never stored in [objects] (ids start at 1), so a cache slot primed
@@ -88,14 +108,14 @@ type checkpoint = {
    resolves through the slow path's precedence-ordered checks. *)
 let cache_empty =
   { o_id = 0; o_elt_ty = I64; o_size = 0; o_pages = [||]; o_pgen = [||];
-    o_heap = false; o_freed = true }
+    o_heap = false; o_freed = true; o_dgen = 0 }
 
 let cache_slots = 16
 let cache_mask = cache_slots - 1
 
 let create () =
   { objects = Hashtbl.create 64; next_id = 1; live_cells = 0; peak_cells = 0;
-    gen = 0; journal = []; journal_len = 0;
+    gen = 0; journal = []; journal_len = 0; base = Imap.empty; dirty = [];
     cache = Array.make cache_slots cache_empty }
 
 (* --- pointer packing -------------------------------------------------- *)
@@ -126,6 +146,14 @@ let journal_push t e =
     t.journal_len <- t.journal_len + 1
   end
 
+(* Like the journal, dirty tracking starts with the first snapshot: a
+   run that never checkpoints pays nothing. *)
+let[@inline] mark_dirty t o =
+  if t.gen > 0 && o.o_dgen <> t.gen then begin
+    o.o_dgen <- t.gen;
+    t.dirty <- o :: t.dirty
+  end
+
 let alloc t ~elt_ty ~size ~heap =
   if size < 0 || size > max_object_cells then None
   else begin
@@ -143,10 +171,11 @@ let alloc t ~elt_ty ~size ~heap =
               Bytes.make ((min page_cells (cells - (pg lsl page_bits))) lsl 3)
                 '\000');
         o_pgen = Array.make npages t.gen;
-        o_heap = heap; o_freed = false }
+        o_heap = heap; o_freed = false; o_dgen = 0 }
     in
     Hashtbl.replace t.objects id o;
     journal_push t (J_alloc id);
+    mark_dirty t o;
     t.live_cells <- t.live_cells + size;
     if t.live_cells > t.peak_cells then t.peak_cells <- t.live_cells;
     Some (ptr ~obj:id ~index:0)
@@ -165,6 +194,7 @@ let free t p : (unit, Failure.kind) result =
         else begin
           o.o_freed <- true;
           journal_push t (J_free o.o_id);
+          mark_dirty t o;
           t.live_cells <- t.live_cells - o.o_size;
           Ok ()
         end
@@ -176,6 +206,7 @@ let release_stack t id =
   | Some o when not o.o_freed ->
       o.o_freed <- true;
       journal_push t (J_free id);
+      mark_dirty t o;
       t.live_cells <- t.live_cells - o.o_size
   | Some _ | None -> ()
 
@@ -224,6 +255,7 @@ let store t p ~ty v : (int * int * int64, Failure.kind) result =
           let fresh = Bytes.copy page in
           Array.unsafe_set o.o_pages pg fresh;
           Array.unsafe_set o.o_pgen pg t.gen;
+          mark_dirty t o;
           fresh
         end
       in
@@ -306,6 +338,7 @@ let[@inline] store_exn t p ~ty v : unit =
       let fresh = Bytes.copy page in
       Array.unsafe_set o.o_pages pg fresh;
       Array.unsafe_set o.o_pgen pg t.gen;
+      mark_dirty t o;
       fresh
     end
   in
@@ -332,20 +365,26 @@ let objects t =
 
 (* --- snapshot / revert -------------------------------------------------- *)
 
+(* Fold the objects changed since the last snapshot/revert into [base]
+   (the first snapshot folds the whole table), then share [base] as the
+   checkpoint's tables.  [base] keeps its own copy of each pointer
+   array: stores swap pages into [o_pages] in place. *)
 let snapshot t : checkpoint =
-  let pages =
-    Hashtbl.fold
-      (fun id o acc ->
-         if o.o_freed then acc else (id, Array.copy o.o_pages) :: acc)
-      t.objects []
+  let fold o base =
+    if o.o_freed then Imap.remove o.o_id base
+    else Imap.add o.o_id (Array.copy o.o_pages) base
   in
+  if t.gen = 0 then
+    t.base <- Hashtbl.fold (fun _ o base -> fold o base) t.objects Imap.empty
+  else t.base <- List.fold_left (fun base o -> fold o base) t.base t.dirty;
+  t.dirty <- [];
   t.gen <- t.gen + 1;
   {
     ck_next_id = t.next_id;
     ck_live_cells = t.live_cells;
     ck_peak_cells = t.peak_cells;
     ck_journal_len = t.journal_len;
-    ck_pages = pages;
+    ck_pages = t.base;
   }
 
 let revert t (ck : checkpoint) =
@@ -367,12 +406,15 @@ let revert t (ck : checkpoint) =
   done;
   (* restore page tables; re-copy the pointer arrays so the checkpoint
      survives further mutation and can be reverted to again *)
-  List.iter
-    (fun (id, pages) ->
+  Imap.iter
+    (fun id pages ->
        match find t id with
        | Some o -> o.o_pages <- Array.copy pages
        | None -> ())
     ck.ck_pages;
+  (* the restored store is exactly the checkpoint's *)
+  t.base <- ck.ck_pages;
+  t.dirty <- [];
   t.next_id <- ck.ck_next_id;
   t.live_cells <- ck.ck_live_cells;
   t.peak_cells <- ck.ck_peak_cells;

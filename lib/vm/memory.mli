@@ -9,14 +9,26 @@
     scalar counters, and the first store into a page after a snapshot
     copies that page.  Structural changes (alloc/free/stack release) are
     journaled so {!revert} can undo them.  Any number of checkpoints may
-    be live at once; a checkpoint stays valid across repeated reverts. *)
+    be live at once; a checkpoint stays valid across repeated reverts.
+
+    A snapshot costs O(objects changed since the previous snapshot or
+    revert), independent of how many objects the store holds.  The store
+    keeps the live page tables as of that point in a persistent map
+    that checkpoints share, plus a dirty list of the objects whose table
+    or liveness changed since: an object joins it when allocated, freed
+    or released, and on the first store into one of its pages after a
+    snapshot or revert (the copy-on-write branch), never on other
+    stores.  Nothing is tracked before the first snapshot, which builds
+    the map from the whole store.  {!revert} costs O(live objects at the
+    checkpoint) plus the journal undone. *)
 
 open Er_ir.Types
 
 type t
 
-(** A point-in-time capture of the whole store, cheap to take (shallow
-    page pointers) and to hold (unchanged pages are shared). *)
+(** A point-in-time capture of the whole store, cheap to take (only
+    changed page tables are copied) and to hold (unchanged pages and
+    tables are shared). *)
 type checkpoint
 
 val create : unit -> t

@@ -2461,6 +2461,7 @@ type checkpoint = {
   vck_mem : Memory.checkpoint;
   vck_inputs : Inputs.checkpoint;
   vck_fexec : int array;
+  vck_result : run_result option;  (* [Some] when taken after the end *)
   (* process-registry VM counter values, for the opt-in metric restore *)
   vck_counters : (M.counter * int) list;
 }
@@ -2519,6 +2520,7 @@ let snapshot (t : t) : checkpoint =
     vck_mem = Memory.snapshot t.lmem;
     vck_inputs = Inputs.checkpoint t.linputs;
     vck_fexec = Array.copy t.lfexec;
+    vck_result = t.lresult;
     vck_counters = List.map (fun c -> (c, M.counter_value c)) vm_counters;
   }
 
@@ -2546,7 +2548,7 @@ let revert ?(restore_metrics = false) (t : t) (ck : checkpoint) : unit =
       ck.vck_threads;
   t.lcur <- List.find (fun th -> th.ltid = ck.vck_cur) t.lthreads;
   t.lfexec <- Array.copy ck.vck_fexec;
-  t.lresult <- None;
+  t.lresult <- ck.vck_result;
   if restore_metrics then
     List.iter
       (fun (c, v) -> M.add c (v - M.counter_value c))

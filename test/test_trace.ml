@@ -33,7 +33,17 @@ let test_ring_overwrite () =
   Alcotest.(check int) "no wraps" 0 (Ring.wraps r2);
   Alcotest.(check int) "oldest live byte is 4" 4 (Char.code (Bytes.get c 0));
   Alcotest.(check int) "newest byte is 11" 11
-    (Char.code (Bytes.get c (Bytes.length c - 1)))
+    (Char.code (Bytes.get c (Bytes.length c - 1)));
+  (* several wraps: one per capacity crossed, the last capacity kept *)
+  let r3 = Ring.create 8 in
+  for i = 0 to 28 do
+    Ring.write_byte r3 i
+  done;
+  Alcotest.(check int) "three wraps" 3 (Ring.wraps r3);
+  Alcotest.(check int) "overwritten after three wraps" 21 (Ring.overwritten r3);
+  Alcotest.(check string) "last capacity survives"
+    (String.init 8 (fun i -> Char.chr (21 + i)))
+    (Bytes.to_string (Ring.contents r3))
 
 let test_decoder_needs_psb () =
   let enc = Encoder.create () in
@@ -124,62 +134,72 @@ let test_stats_counting () =
   (* 100 branches = 16 full TNT packets + 1 partial + PSB *)
   Alcotest.(check int) "packets" 18 st.Encoder.packets
 
-(* --- write_bytes blit vs byte-loop oracle ------------------------------- *)
+(* --- encoder bytes vs the packet model ----------------------------------- *)
 
-(* The pre-blit implementation, kept as the oracle: one write_byte per
-   byte, re-checking the wrap each time. *)
-let oracle_write_bytes r (s : Bytes.t) =
-  for i = 0 to Bytes.length s - 1 do
-    Ring.write_byte r (Char.code (Bytes.get s i))
-  done
+(* The encoder writes packets straight into the ring; the oracle builds
+   the [Packet.t] list the same events must produce (TNT bits grouped up
+   to six, flushed before any other packet and at finish) and encodes it
+   with [Packet.append_bytes]. *)
+let expected_packets ops =
+  let out = ref [ Packet.Psb ] and tnt = ref [] in
+  let flush () =
+    if !tnt <> [] then out := Packet.Tnt (List.rev !tnt) :: !out;
+    tnt := []
+  in
+  let emit pkts =
+    flush ();
+    out := List.rev_append pkts !out
+  in
+  List.iter
+    (function
+      | `Branch b ->
+          tnt := b :: !tnt;
+          if List.length !tnt = Packet.max_tnt_bits then flush ()
+      | `Ptw v -> emit [ Packet.Ptw v ]
+      | `Switch (tid, clock) -> emit [ Packet.Tip tid; Packet.Mtc clock ]
+      | `Mtc clock -> emit [ Packet.Mtc clock ])
+    ops;
+  flush ();
+  List.rev !out
 
-let rings_agree name (a : Ring.t) (b : Ring.t) =
-  Alcotest.(check int) (name ^ ": written") (Ring.total_written a)
-    (Ring.total_written b);
-  Alcotest.(check int) (name ^ ": wraps") (Ring.wraps a) (Ring.wraps b);
-  Alcotest.(check bool) (name ^ ": overflowed") (Ring.overflowed a)
-    (Ring.overflowed b);
-  Alcotest.(check string) (name ^ ": contents")
-    (Bytes.to_string (Ring.contents a))
-    (Bytes.to_string (Ring.contents b))
-
-let test_write_bytes_multiwrap () =
-  (* one blit call larger than twice the capacity: several wraps at once *)
-  let cap = 8 in
-  let blit = Ring.create cap and loop = Ring.create cap in
-  let payload = Bytes.init (3 * cap + 5) (fun i -> Char.chr (i land 0xFF)) in
-  Ring.write_bytes blit payload;
-  oracle_write_bytes loop payload;
-  Alcotest.(check int) "three wraps" 3 (Ring.wraps blit);
-  rings_agree "multiwrap" blit loop;
-  (* landing exactly on the wrap boundary *)
-  let b2 = Ring.create cap and l2 = Ring.create cap in
-  Ring.write_bytes b2 (Bytes.make 3 'x');
-  oracle_write_bytes l2 (Bytes.make 3 'x');
-  Ring.write_bytes b2 (Bytes.make (cap - 3) 'y');
-  oracle_write_bytes l2 (Bytes.make (cap - 3) 'y');
-  Alcotest.(check int) "boundary write wraps once" 1 (Ring.wraps b2);
-  rings_agree "boundary" b2 l2
-
-let qcheck_write_bytes_blit_oracle =
+let qcheck_encoder_packet_oracle =
   let gen =
     QCheck2.Gen.(
-      pair (int_range 1 17)
-        (small_list (string_size ~gen:printable (int_range 0 40))))
+      list_size (int_range 0 300)
+        (frequency
+           [
+             (6, map (fun b -> `Branch b) bool);
+             (2, map (fun v -> `Ptw v) int64);
+             ( 1,
+               map2
+                 (fun tid clock -> `Switch (tid, clock))
+                 (int_range 0 (1 lsl 33))
+                 (int_range 0 (1 lsl 40)) );
+             (1, map (fun clock -> `Mtc clock) (int_range 0 (1 lsl 40)));
+           ]))
   in
-  QCheck2.Test.make ~name:"write_bytes blit matches byte loop" ~count:500 gen
-    (fun (cap, chunks) ->
-       let blit = Ring.create cap and loop = Ring.create cap in
+  QCheck2.Test.make ~name:"encoder bytes equal the packet model's" ~count:300
+    gen
+    (fun ops ->
+       let enc = Encoder.create () in
+       Encoder.start enc;
        List.iter
-         (fun s ->
-            let s = Bytes.of_string s in
-            Ring.write_bytes blit s;
-            oracle_write_bytes loop s)
-         chunks;
-       Ring.total_written blit = Ring.total_written loop
-       && Ring.wraps blit = Ring.wraps loop
-       && Ring.overflowed blit = Ring.overflowed loop
-       && Bytes.equal (Ring.contents blit) (Ring.contents loop))
+         (function
+           | `Branch b -> Encoder.branch enc b
+           | `Ptw v -> Encoder.ptwrite enc v
+           | `Switch (tid, clock) -> Encoder.thread_switch enc ~tid ~clock
+           | `Mtc clock -> Encoder.timestamp enc ~clock)
+         ops;
+       let got = Encoder.finish enc in
+       let pkts = expected_packets ops in
+       let want = Buffer.create 64 in
+       List.iter (Packet.append_bytes want) pkts;
+       let st = Encoder.stats enc in
+       Bytes.to_string got = Buffer.contents want
+       && st.Encoder.packets = List.length pkts
+       && st.Encoder.bytes = Buffer.length want
+       && st.Encoder.bytes
+          = List.fold_left (fun a p -> a + Packet.size p) 0 pkts)
 
 let suites =
   [
@@ -187,13 +207,11 @@ let suites =
       [
         Alcotest.test_case "TNT byte round trip" `Quick test_tnt_byte_roundtrip;
         Alcotest.test_case "ring overwrite" `Quick test_ring_overwrite;
-        Alcotest.test_case "ring write_bytes multi-wrap" `Quick
-          test_write_bytes_multiwrap;
-        QCheck_alcotest.to_alcotest qcheck_write_bytes_blit_oracle;
         Alcotest.test_case "decoder requires PSB" `Quick test_decoder_needs_psb;
         Alcotest.test_case "mixed stream decode" `Quick test_encode_decode_mixed;
         Alcotest.test_case "MTC clock widening" `Quick test_clock_widening;
         Alcotest.test_case "encoder stats" `Quick test_stats_counting;
         QCheck_alcotest.to_alcotest qcheck_stream_roundtrip;
+        QCheck_alcotest.to_alcotest qcheck_encoder_packet_oracle;
       ] );
   ]
