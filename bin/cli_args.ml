@@ -39,27 +39,8 @@ let resolver name : (Er_core.Job.source * Er_core.Job.Config.t) option =
 
 (* -- events sinks -------------------------------------------------- *)
 
-(* Run with a JSONL events sink on FILE ("-" for stdout). *)
-let with_events_sink events_file f =
-  match events_file with
-  | None -> f Er_core.Events.null
-  | Some "-" ->
-      let r = f (Er_core.Events.jsonl stdout) in
-      flush stdout;
-      r
-  | Some path ->
-      let oc =
-        try open_out path
-        with Sys_error msg ->
-          Printf.eprintf "er_cli: cannot open events file: %s\n" msg;
-          exit 1
-      in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () -> f (Er_core.Events.jsonl oc))
-
-(* Channel variant for callers that write the JSONL lines themselves
-   (fleet tags each line with the emitting bug's name). *)
+(* Run [f] with the channel for an events FILE ("-" for stdout), or
+   [None] without one.  Fleet writes its own tagged lines to it. *)
 let with_events_channel events_file f =
   match events_file with
   | None -> f None
@@ -75,6 +56,12 @@ let with_events_channel events_file f =
           exit 1
       in
       Fun.protect ~finally:(fun () -> close_out oc) (fun () -> f (Some oc))
+
+(* Run [f] with a JSONL events sink on FILE, or the null sink. *)
+let with_events_sink events_file f =
+  with_events_channel events_file (function
+    | None -> f Er_core.Events.null
+    | Some oc -> f (Er_core.Events.jsonl oc))
 
 (* A fleet JSONL log is shared by every bug, so each line is tagged
    with a ["job"] field naming the bug that emitted it — that's what
@@ -100,37 +87,24 @@ let tagged_jsonl_sink mutex oc job_name : Er_core.Events.sink =
 
 (* -- pipeline invocation ------------------------------------------- *)
 
-let run_pipeline ?(incremental = true) ?(portfolio = 0)
-    (spec : Er_corpus.Bug.spec) events =
-  let config =
-    if incremental then spec.Er_corpus.Bug.config
-    else
-      { spec.Er_corpus.Bug.config with Er_core.Pipeline.incremental = false }
-  in
-  let config =
-    if portfolio = 0 then config
-    else
-      { config with
-        Er_core.Pipeline.exec_config =
-          { config.Er_core.Pipeline.exec_config with
-            Er_symex.Exec.portfolio } }
-  in
-  Er_core.Pipeline.run ~config ~events ~base_prog:spec.Er_corpus.Bug.program
-    ~workload:spec.Er_corpus.Bug.failing_workload ()
+(* The job config of one corpus bug under the CLI's flags: the bug's
+   committed pipeline config with --no-incremental, --portfolio and
+   --cache-dir applied.  [reproduce] and [fleet] both build their runs
+   from it, so each knob is set in one place. *)
+let job_config ~incremental ~portfolio ~cache_dir (spec : Er_corpus.Bug.spec)
+    =
+  let c = Er_core.Job.Config.of_pipeline spec.Er_corpus.Bug.config in
+  { c with
+    Er_core.Job.Config.incremental =
+      c.Er_core.Job.Config.incremental && incremental;
+    portfolio;
+    cache_dir }
 
-(* Job-centric invocation: [reproduce] with --cache-dir/--portfolio
-   routes through {!Er_core.Job.execute}, which runs the body in a fresh
-   interning space and binds the persistent solver store to it. *)
-let run_job ?(incremental = true) ?(portfolio = 0) ?cache_dir
-    (spec : Er_corpus.Bug.spec) events =
-  let config =
-    let c = Er_core.Job.Config.of_pipeline spec.Er_corpus.Bug.config in
-    { c with
-      Er_core.Job.Config.incremental =
-        c.Er_core.Job.Config.incremental && incremental;
-      portfolio;
-      cache_dir }
-  in
+(* [reproduce] runs its one job on the calling domain through
+   {!Er_core.Job.execute}: a fresh interning space, the persistent
+   solver store when the config names a cache directory, and a
+   [bug:<id>] metrics span around the whole reconstruction. *)
+let run_job config (spec : Er_corpus.Bug.spec) events =
   let h =
     Er_core.Job.create ~events
       {

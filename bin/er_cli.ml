@@ -49,15 +49,12 @@ let reproduce_cmd =
       Cli_args.with_metrics ~recorder
         (Option.is_some metrics || recorder)
         (fun () ->
+           let config =
+             Cli_args.job_config ~incremental ~portfolio ~cache_dir spec
+           in
            let r =
-             Cli_args.with_events_sink events_file (fun events ->
-                 (* the job path binds the persistent store inside a
-                    fresh interning space; the legacy direct path stays
-                    byte-compatible for plain runs *)
-                 if cache_dir <> None || portfolio > 0 then
-                   Cli_args.run_job ~incremental ~portfolio ?cache_dir spec
-                     events
-                 else Cli_args.run_pipeline ~incremental spec events)
+             Cli_args.with_events_sink events_file
+               (Cli_args.run_job config spec)
            in
            Option.iter Cli_args.write_trace_out trace_out;
            r)
@@ -255,16 +252,17 @@ let fleet_cmd =
           List.map
             (fun (s : Er_corpus.Bug.spec) ->
                let events = sink_for s.Er_corpus.Bug.name in
+               let job_config =
+                 Cli_args.job_config ~incremental ~portfolio ~cache_dir s
+               in
                { Er_core.Fleet.job_name = s.Er_corpus.Bug.name;
                  job_run =
                    (fun () ->
-                      Cli_args.run_pipeline ~incremental ~portfolio s events);
-                 job_config =
-                   { (Er_core.Job.Config.of_pipeline s.Er_corpus.Bug.config)
-                     with
-                     Er_core.Job.Config.incremental;
-                     portfolio;
-                     cache_dir } })
+                      Er_core.Pipeline.run
+                        ~config:(Er_core.Job.Config.to_pipeline job_config)
+                        ~events ~base_prog:s.Er_corpus.Bug.program
+                        ~workload:s.Er_corpus.Bug.failing_workload ());
+                 job_config })
             Er_corpus.Registry.table1
         in
         let report = Er_core.Fleet.run ?jobs fleet_jobs in

@@ -6,7 +6,8 @@
    chunk schedule, so the reconstruction pins both the inputs and the
    interleaving that exposed the race.
 
-   Run with:  dune exec examples/concurrency_uaf.exe *)
+   Run with:  dune exec examples/concurrency_uaf.exe
+   Exits 1 if the reconstruction gives up or fails verification. *)
 
 let () =
   let spec = Er_corpus.Pbzip2.spec in
@@ -26,15 +27,17 @@ let () =
     [ 1; 2; 3; 4; 5 ];
   Printf.printf "\nrunning ER on the reoccurring crash...\n";
   let r =
-    Er_core.Driver.reconstruct ~config:spec.Er_corpus.Bug.config
+    Er_core.Pipeline.run ~config:spec.Er_corpus.Bug.config
       ~base_prog:spec.Er_corpus.Bug.program
       ~workload:spec.Er_corpus.Bug.failing_workload ()
   in
-  match r.Er_core.Driver.status with
-  | Er_core.Driver.Gave_up m -> Printf.printf "gave up: %s\n" m
-  | Er_core.Driver.Reproduced { testcase; verified; _ } ->
+  match r.Er_core.Pipeline.status with
+  | Er_core.Pipeline.Gave_up g ->
+      Printf.printf "gave up: %s\n" (Er_core.Outcome.give_up_to_string g);
+      exit 1
+  | Er_core.Pipeline.Reproduced { testcase; verified; _ } ->
       Printf.printf "reproduced after %d failure occurrence(s)\n"
-        r.Er_core.Driver.occurrences;
+        r.Er_core.Pipeline.occurrences;
       Printf.printf "generated input:\n%s\n"
         (Fmt.str "%a" Er_core.Testcase.pp testcase);
       (match verified with
@@ -42,5 +45,6 @@ let () =
            Printf.printf
              "re-execution under the recorded schedule: same failure = %b, \
               same control flow = %b\n"
-             v.Er_core.Verify.same_failure v.Er_core.Verify.same_control_flow
+             v.Er_core.Verify.same_failure v.Er_core.Verify.same_control_flow;
+           if not v.Er_core.Verify.ok then exit 1
        | None -> ())

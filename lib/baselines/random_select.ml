@@ -57,16 +57,17 @@ let pick ~seed (graph : Cgraph.t) ~count : point list =
     !out
   end
 
-(* Driver variant: iterate like ER but with random selection of the same
-   cardinality.  Returns (reproduced?, occurrences used). *)
-let reconstruct ?(config = Er_core.Driver.default_config) ~seed
-    ~(base_prog : program) ~(workload : Er_core.Driver.workload) () =
-  let exec_config = config.Er_core.Driver.exec_config in
+(* Iterate like ER's pipeline but with random selection of the same
+   cardinality.  Returns (reproduced?, occurrences analyzed, recording
+   points). *)
+let reconstruct ?(config = Er_core.Pipeline.default_config) ~seed
+    ~(base_prog : program) ~(workload : Er_core.Pipeline.workload) () =
+  let exec_config = config.Er_core.Pipeline.exec_config in
   let points : point list ref = ref [] in
   let reproduced = ref false in
   let occ = ref 0 in
   let analyzed = ref 0 in
-  while (not !reproduced) && !occ < config.Er_core.Driver.max_occurrences do
+  while (not !reproduced) && !occ < config.Er_core.Pipeline.max_occurrences do
     incr occ;
     let inst_prog, mapper = Er_select.Instrument.apply base_prog !points in
     let inst_indexed = Er_ir.Prog.of_program inst_prog in

@@ -9,9 +9,9 @@ type spec = {
   bug_type : string;
   multithreaded : bool;
   program : Er_ir.Types.program;
-  failing_workload : Er_core.Driver.workload;
+  failing_workload : Er_core.Pipeline.workload;
   perf_inputs : unit -> Er_vm.Inputs.t;
-  config : Er_core.Driver.config;
+  config : Er_core.Pipeline.config;
 }
 
 (* Budgets are per-bug: the paper tunes a 30 s solver timeout globally;
@@ -19,7 +19,7 @@ type spec = {
    constraints are. *)
 let config_with ?(max_occurrences = 24) ?(solver_budget = 600_000)
     ?(gate_budget = 120_000) () =
-  let open Er_core.Driver in
+  let open Er_core.Pipeline in
   {
     default_config with
     max_occurrences;

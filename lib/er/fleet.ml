@@ -33,8 +33,8 @@ type job = {
   job_name : string;
   job_run : unit -> Pipeline.result;
   (* request config of the job: {!Job.execute} reads cache_dir from it
-     to bind the persistent solver store; the budgets the thunk actually
-     uses are bound inside [job_run] *)
+     to bind the persistent solver store; [job_run] should build its
+     pipeline config from the same record ({!Job.Config.to_pipeline}) *)
   job_config : Job.Config.t;
 }
 

@@ -13,8 +13,9 @@ type job = {
   job_run : unit -> Pipeline.result;
   job_config : Job.Config.t;
       (** request config; {!Job.execute} binds the persistent solver
-          store from its [cache_dir] — the budgets the thunk actually
-          runs under are bound inside [job_run] *)
+          store from its [cache_dir].  [job_run] is opaque, so build its
+          pipeline config from this same record
+          ({!Job.Config.to_pipeline}) to keep the two in agreement *)
 }
 
 type outcome =

@@ -3,8 +3,8 @@
    ER's deployment story is continuous: failures arrive one at a time
    from a fleet of production VMs, not as a batch corpus.  This module is
    the job-centric entry point everything else now consumes — the batch
-   {!Fleet} runner, the {!Server} daemon behind [er_cli serve], and the
-   thin {!Driver} compatibility wrapper are all clients of the same
+   {!Fleet} runner, the {!Server} daemon behind [er_cli serve] and the
+   one-shot [er_cli reproduce] are all clients of the same
    request/handle API:
 
      - a {!request} names what to reconstruct (program + occurrence

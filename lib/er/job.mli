@@ -1,8 +1,8 @@
 (** First-class reconstruction jobs.
 
     The job API is the single entry point every execution mode consumes:
-    batch ({!Fleet}), daemon ({!Server}) and the one-shot {!Driver}
-    wrapper.  A {!request} bundles what to reconstruct with who asked and
+    batch ({!Fleet}), daemon ({!Server}) and one-shot [er_cli
+    reproduce].  A {!request} bundles what to reconstruct with who asked and
     under which budgets; {!create} yields a handle that any domain can
     [status]/[poll]/[cancel]/[await] while an executor drives it with
     {!execute}. *)

@@ -1,12 +1,9 @@
 (* Structured outcomes for the staged ER pipeline.
 
-   The original driver threaded failure information around as formatted
-   strings ("stalled — …; +2 points (chain=7, obj=1024B)"), which made it
-   impossible for downstream tooling — the fleet aggregator, the JSONL
-   event sink, tests — to act on *why* an iteration stopped.  These
-   variants carry the same information structurally; the string renderings
-   below exist only for the human-facing compatibility surface of
-   {!Driver}. *)
+   Downstream tooling — the fleet aggregator, the JSONL event sink,
+   tests — acts on *why* an iteration stopped, so the outcome is a
+   variant, not a formatted string.  The renderings below are for the
+   CLI's human summary and the JSON result's [reason] field. *)
 
 type stall = {
   reason : string;              (* the executor's stall description *)
@@ -27,22 +24,6 @@ type give_up =
   | Max_occurrences of int      (* occurrence budget exhausted *)
   | Cancelled                   (* the owning job was cancelled mid-flight *)
 
-let step_tag = function
-  | Completed -> `Complete
-  | Stalled _ -> `Stalled
-  | Diverged _ -> `Diverged
-
-(* The legacy [`Stalled of string] rendering kept bottleneck statistics
-   inside the message; reproduce it exactly for Driver compatibility. *)
-let step_to_compat :
-  step -> [ `Complete | `Stalled of string | `Diverged of string ] = function
-  | Completed -> `Complete
-  | Stalled s ->
-      `Stalled
-        (Printf.sprintf "%s; +%d points (chain=%d, obj=%dB)" s.reason
-           s.points_added s.longest_chain s.largest_object_bytes)
-  | Diverged m -> `Diverged m
-
 let give_up_to_string = function
   | Decode_error e -> "trace decode failed: " ^ e
   | Max_occurrences _ -> "max occurrences exhausted"
@@ -54,5 +35,3 @@ let pp_step ppf = function
       Fmt.pf ppf "stalled — %s; +%d points (chain=%d, obj=%dB)" s.reason
         s.points_added s.longest_chain s.largest_object_bytes
   | Diverged m -> Fmt.pf ppf "diverged — %s" m
-
-let pp_give_up ppf g = Fmt.string ppf (give_up_to_string g)

@@ -41,7 +41,3 @@ val fresh : existing:point list -> point list -> point list
     consecutive iterations' sets relate by list prefix; the incremental
     pipeline asserts this before reusing checkpoints. *)
 val is_prefix : point list -> point list -> bool
-
-(** Longest common prefix of two point lists (pointwise
-    [point_compare]). *)
-val common_prefix : point list -> point list -> point list

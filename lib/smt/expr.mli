@@ -160,7 +160,6 @@ val sge : t -> t -> t
 val and_ : t -> t -> t
 val or_ : t -> t -> t
 val implies : t -> t -> t
-val conj : t list -> t
 val ite : t -> t -> t -> t
 val extract : hi:int -> lo:int -> t -> t
 val concat : t -> t -> t
@@ -179,8 +178,6 @@ val size : t -> int
 
 (** Distinct variables of a term list, in first-occurrence order. *)
 val vars : t list -> t list
-
-val substitute : (t -> t option) -> t list -> t list
 
 (* --- printing --------------------------------------------------------- *)
 

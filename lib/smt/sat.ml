@@ -365,9 +365,6 @@ let var_decay s = s.var_inc <- s.var_inc /. s.config.var_decay
 
 (* First-UIP conflict analysis.  Returns (learned clause, backjump level);
    learned.(0) is the asserting literal. *)
-(* Test hook: observe learned clauses (used by the SAT fuzz harness). *)
-let learn_hook : (int array -> unit) option ref = ref None
-
 let analyze s confl =
   let learned = Veci.create () in
   Veci.push learned 0;                    (* slot for asserting literal *)
@@ -425,7 +422,6 @@ let analyze s confl =
     arr.(1) <- arr.(!pos);
     arr.(!pos) <- tmp
   end;
-  (match !learn_hook with Some f -> f arr | None -> ());
   (arr, !blevel)
 
 let cancel_until s lvl =

@@ -64,7 +64,3 @@ val num_vars : t -> int
 (** The [k] most VSIDS-active variables (external indices, activity),
     highest first, ties by index — deterministic. *)
 val top_activity : ?k:int -> t -> (int * float) list
-
-(** Test hook: observe each learned clause (internal literal encoding),
-    used by the SAT fuzz harness to validate learning. *)
-val learn_hook : (int array -> unit) option ref

@@ -659,8 +659,3 @@ let must_be_true ?budget ?gate_budget assumptions e =
   | Unsat -> Ok true
   | Sat _ -> Ok false
   | Unknown why -> Error why
-
-let pp_outcome ppf = function
-  | Sat _ -> Fmt.string ppf "sat"
-  | Unsat -> Fmt.string ppf "unsat"
-  | Unknown why -> Fmt.pf ppf "unknown (%s)" why

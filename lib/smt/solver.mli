@@ -149,5 +149,3 @@ val cache_shards : unit -> int
     when [f] returns or raises: nothing can create a session in the space
     afterwards, so the shard would otherwise stay unreachable but live. *)
 val in_fresh_space : (unit -> 'a) -> 'a
-
-val pp_outcome : Format.formatter -> outcome -> unit

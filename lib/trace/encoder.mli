@@ -63,4 +63,3 @@ val overwritten : t -> int
 val wraps : t -> int
 
 val stats : t -> stats
-val bytes_emitted : t -> int

@@ -16,7 +16,6 @@ let create capacity =
   { data = Bytes.create capacity; capacity; head = 0; written = 0; wraps = 0 }
 
 let capacity t = t.capacity
-let total_written t = t.written
 let overflowed t = t.written > t.capacity
 
 (* Bytes lost to wrap-around: everything written beyond one capacity's

@@ -77,8 +77,6 @@ val store_exn : t -> int64 -> ty:ty -> int64 -> unit
     checks; [None] only when the address names no allocated cell. *)
 val peek : t -> obj:int -> index:int -> int64 option
 
-val size_of : t -> int -> int option
-val elt_ty_of : t -> int -> ty option
 val peak_cells : t -> int
 val object_count : t -> int
 

@@ -2602,7 +2602,6 @@ let branches (t : t) = t.lbranches
 let result (t : t) = t.lresult
 let memory (t : t) = t.lmem
 let inputs (t : t) = t.linputs
-let outputs_so_far (t : t) = List.rev t.loutputs
 let lowered (t : t) = t.llow
 
 type frame_view = {

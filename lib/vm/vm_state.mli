@@ -215,7 +215,6 @@ val branches : t -> int
 val result : t -> run_result option
 val memory : t -> Memory.t
 val inputs : t -> Inputs.t
-val outputs_so_far : t -> int64 list
 val lowered : t -> Er_ir.Lower.t
 
 type frame_view = {

@@ -74,11 +74,11 @@ let test_random_selection_weaker () =
   | None -> Alcotest.fail "corpus entry missing"
   | Some s ->
       let er =
-        Er_core.Driver.reconstruct ~config:s.Er_corpus.Bug.config
+        Er_core.Pipeline.run ~config:s.Er_corpus.Bug.config
           ~base_prog:s.Er_corpus.Bug.program
           ~workload:s.Er_corpus.Bug.failing_workload ()
       in
-      let er_occ = er.Er_core.Driver.occurrences in
+      let er_occ = er.Er_core.Pipeline.occurrences in
       let _ok, rand_occ, _pts =
         Er_baselines.Random_select.reconstruct ~config:s.Er_corpus.Bug.config
           ~seed:137 ~base_prog:s.Er_corpus.Bug.program

@@ -6,10 +6,10 @@ open Er_corpus
 
 let run_fig3 () =
   let spec = Running_example.spec in
-  Er_core.Driver.reconstruct ~config:spec.Bug.config
+  Er_core.Pipeline.run ~config:spec.Bug.config
     ~base_prog:spec.Bug.program ~workload:spec.Bug.failing_workload ()
 
-let cached_result : Er_core.Driver.result option ref = ref None
+let cached_result : Er_core.Pipeline.result option ref = ref None
 
 let result () =
   match !cached_result with
@@ -21,39 +21,41 @@ let result () =
 
 let test_reproduces () =
   let r = result () in
-  match r.Er_core.Driver.status with
-  | Er_core.Driver.Reproduced { verified; _ } ->
+  match r.Er_core.Pipeline.status with
+  | Er_core.Pipeline.Reproduced { verified; _ } ->
       (match verified with
        | Some v ->
            Alcotest.(check bool) "same failure" true v.Er_core.Verify.same_failure;
            Alcotest.(check bool) "same control flow" true
              v.Er_core.Verify.same_control_flow
        | None -> Alcotest.fail "verification missing")
-  | Er_core.Driver.Gave_up msg -> Alcotest.fail ("gave up: " ^ msg)
+  | Er_core.Pipeline.Gave_up g ->
+      Alcotest.fail ("gave up: " ^ Er_core.Outcome.give_up_to_string g)
 
 let test_iterates () =
   (* with the configured small budget, the first attempt must stall:
      control flow alone is not enough (section 5.2: 11/13 failures) *)
   let r = result () in
   Alcotest.(check bool) "needs more than one occurrence" true
-    (r.Er_core.Driver.occurrences > 1);
-  match r.Er_core.Driver.iterations with
+    (r.Er_core.Pipeline.occurrences > 1);
+  match r.Er_core.Pipeline.iterations with
   | first :: _ ->
-      (match first.Er_core.Driver.outcome with
-       | `Stalled _ -> ()
-       | `Complete -> Alcotest.fail "first iteration should stall"
-       | `Diverged m -> Alcotest.fail ("diverged: " ^ m))
+      (match first.Er_core.Pipeline.outcome with
+       | Er_core.Outcome.Stalled _ -> ()
+       | Er_core.Outcome.Completed ->
+           Alcotest.fail "first iteration should stall"
+       | Er_core.Outcome.Diverged m -> Alcotest.fail ("diverged: " ^ m))
   | [] -> Alcotest.fail "no iterations recorded"
 
 let test_recording_set_is_small () =
   let r = result () in
-  let n = List.length r.Er_core.Driver.recording_points in
+  let n = List.length r.Er_core.Pipeline.recording_points in
   Alcotest.(check bool) "recorded a handful of values" true (n >= 1 && n <= 8)
 
 let test_testcase_fails_same_way () =
   let r = result () in
-  match r.Er_core.Driver.status with
-  | Er_core.Driver.Reproduced { testcase; _ } ->
+  match r.Er_core.Pipeline.status with
+  | Er_core.Pipeline.Reproduced { testcase; _ } ->
       let prog = Er_ir.Prog.of_program Running_example.program in
       let res = Er_vm.Interp.run prog (Er_core.Testcase.to_inputs testcase) in
       (match res.Er_vm.Interp.outcome with
@@ -64,7 +66,8 @@ let test_testcase_fails_same_way () =
                 Alcotest.fail
                   ("wrong failure kind: " ^ Er_vm.Failure.kind_to_string k))
        | Er_vm.Interp.Finished _ -> Alcotest.fail "generated input did not crash")
-  | Er_core.Driver.Gave_up msg -> Alcotest.fail ("gave up: " ^ msg)
+  | Er_core.Pipeline.Gave_up g ->
+      Alcotest.fail ("gave up: " ^ Er_core.Outcome.give_up_to_string g)
 
 (* --- incremental vs from-scratch differential --------------------------- *)
 

@@ -250,7 +250,7 @@ let test_corpus_symex_differential () =
        match trace_failure prog s with
        | None -> Alcotest.fail (s.Bug.name ^ ": no failing trace captured")
        | Some (split, failure, clock) ->
-           let config = s.Bug.config.Er_core.Driver.exec_config in
+           let config = s.Bug.config.Er_core.Pipeline.exec_config in
            (* each engine runs in a fresh interning space: identical
               Expr ids, an isolated solver-cache shard, and therefore a
               bit-identical deterministic solver trajectory *)

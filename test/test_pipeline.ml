@@ -249,33 +249,6 @@ let test_jsonl_round_trip () =
             | None -> Alcotest.fail ("unparseable line: " ^ line))
          lines r2.P.events)
 
-(* --- compatibility wrapper --------------------------------------------- *)
-
-let test_driver_wrapper_matches_pipeline () =
-  let d =
-    Er_core.Driver.reconstruct ~config:spec.Bug.config
-      ~base_prog:spec.Bug.program ~workload:spec.Bug.failing_workload ()
-  in
-  let p = d.Er_core.Driver.pipeline in
-  Alcotest.(check int) "same occurrence count" p.P.occurrences
-    d.Er_core.Driver.occurrences;
-  Alcotest.(check int) "same iteration count"
-    (List.length p.P.iterations)
-    (List.length d.Er_core.Driver.iterations);
-  List.iter2
-    (fun (a : Er_core.Driver.iteration) (b : P.iteration) ->
-       Alcotest.(check int) "solver calls agree" b.P.solver_calls
-         a.Er_core.Driver.solver_calls;
-       Alcotest.(check bool) "outcomes agree" true
-         (a.Er_core.Driver.outcome = O.step_to_compat b.P.outcome))
-    d.Er_core.Driver.iterations p.P.iterations;
-  match d.Er_core.Driver.status, p.P.status with
-  | Er_core.Driver.Reproduced _, P.Reproduced _ -> ()
-  | Er_core.Driver.Gave_up a, P.Gave_up g ->
-      Alcotest.(check string) "give-up reason renders identically" a
-        (O.give_up_to_string g)
-  | _ -> Alcotest.fail "wrapper status disagrees with pipeline status"
-
 let suites =
   [
     ( "pipeline",
@@ -291,7 +264,5 @@ let suites =
         Alcotest.test_case "per-stage accounting" `Slow test_stage_accounting;
         Alcotest.test_case "JSONL sink round-trips" `Slow
           test_jsonl_round_trip;
-        Alcotest.test_case "driver wrapper matches pipeline" `Slow
-          test_driver_wrapper_matches_pipeline;
       ] );
   ]

@@ -180,6 +180,18 @@ let test_config_override () =
   Alcotest.(check bool) "non-object rejects" true
     (Job.Config.of_json_value ~base (Json.List []) = None)
 
+(* Jobs run under [to_pipeline] of a config built by [of_pipeline] (the
+   daemon's resolver, er_cli reproduce and fleet): the round trip must
+   keep every knob of the default and of each corpus entry's config. *)
+let test_config_pipeline_roundtrip () =
+  List.iter
+    (fun (name, c) ->
+       Alcotest.(check bool) (name ^ ": to_pipeline (of_pipeline c) = c") true
+         (Job.Config.to_pipeline (Job.Config.of_pipeline c) = c))
+    (("default", Pipeline.default_config)
+     :: List.map (fun (s : Bug.spec) -> (s.Bug.name, s.Bug.config))
+          Registry.all)
+
 (* --- a cheap pipeline result to hand to thunk jobs ------------------ *)
 
 let cheap_result : Pipeline.result Lazy.t =
@@ -442,6 +454,8 @@ let suites =
         test_config_roundtrip;
         Alcotest.test_case "partial override and strictness" `Quick
           test_config_override;
+        Alcotest.test_case "pipeline config round-trips" `Quick
+          test_config_pipeline_roundtrip;
       ] );
     ( "serve.scheduler",
       [
